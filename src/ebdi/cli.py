@@ -125,6 +125,9 @@ def main(argv: list[str] | None = None) -> int:
     except EbdiError as exc:
         log.error("%s", exc)
         return 1
+    except OSError as exc:  # inputs raise LoadError, so this is an artifact write
+        log.error("cannot write output: %s", exc)
+        return 1
     return 0
 
 

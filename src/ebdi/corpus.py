@@ -15,8 +15,10 @@ and its other memberships contribute nothing.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import logging
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -203,48 +205,113 @@ SC_FIELDS = ("sc_id", "name", "branch")
 JOURNAL_FIELDS = ("journal_id", "title", "sc_memberships")
 CITATION_FIELDS = ("focal_journal_id", "partner_journal_id", "dimension", "count")
 
+#: largest citation count accepted: every count up to it converts to float exactly
+MAX_COUNT = 2**53
 
-def _open_rows(source: str | Path | IO[str], required: tuple[str, ...]) -> Iterator[tuple[int, dict[str, str]]]:
-    """Yield (line_number, row) dicts from a CSV source, validating the header.
+Source = str | Path | IO[str]
 
-    Accepts a path or an already-open text stream. Extra columns are ignored;
-    values are whitespace-stripped.
+
+def read_csv(source: Source, required: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, cells)`` for every data row of a CSV path or text stream.
+
+    ``cells`` holds the ``required`` columns in that order, whitespace-stripped.
+    Header names are compared without surrounding whitespace or a BOM; each
+    required column must appear once, and other columns are ignored. Blank
+    lines are skipped, missing trailing cells read as empty, and a non-empty
+    cell beyond the header is an error. A file that cannot be opened, decoded
+    as UTF-8 or parsed as CSV raises :class:`LoadError` naming the file and,
+    where known, the line.
     """
     if hasattr(source, "read"):
-        yield from _iter_rows(source, required, path=getattr(source, "name", "<stream>"))
-        return
-    path = Path(source)
+        handle = source
+    else:
+        try:
+            handle = Path(source).open("r", encoding="utf-8-sig", newline="")
+        except OSError as exc:
+            raise LoadError(f"cannot open file: {exc.strerror or exc}", path=source) from exc
+    reader = csv.reader(handle)
     try:
-        handle = path.open("r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise LoadError(f"cannot open file: {exc.strerror or exc}", path=path) from exc
-    with handle:
-        yield from _iter_rows(handle, required, path=path)
+        header = [name.lstrip("\ufeff").strip() for name in next(reader, [])]
+        missing = [name for name in required if name not in header]
+        if missing:
+            raise LoadError(f"missing required column(s): {', '.join(missing)}", path=source, line=1)
+        repeated = [name for name in required if header.count(name) > 1]
+        if repeated:
+            raise LoadError(f"repeated column(s): {', '.join(repeated)}", path=source, line=1)
+        columns = [header.index(name) for name in required]
+        width = len(header)
+        for row in reader:
+            if len(row) > width and any(row[width:]):
+                raise LoadError("row has more cells than the header", path=source, line=reader.line_num)
+            if row:
+                yield reader.line_num, [row[i].strip() if i < len(row) else "" for i in columns]
+    except (OSError, csv.Error) as exc:
+        raise LoadError(str(exc), path=source, line=reader.line_num or None) from exc
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"not UTF-8 ({exc.reason})", path=source, line=_undecodable_line(source)) from exc
+    finally:
+        if handle is not source:
+            handle.close()
 
 
-def _iter_rows(handle: IO[str], required: tuple[str, ...], path: object) -> Iterator[tuple[int, dict[str, str]]]:
-    reader = csv.DictReader(handle)
-    if reader.fieldnames is None:
-        raise LoadError("empty file (missing header)", path=path)
-    # normalize away stray whitespace and a BOM that survived stream decoding
-    reader.fieldnames = [name.strip().lstrip("﻿") for name in reader.fieldnames]
-    missing = [name for name in required if name not in reader.fieldnames]
-    if missing:
-        raise LoadError(f"missing required column(s): {', '.join(missing)}", path=path, line=1)
-    for row in reader:
-        if None in row and any(extra for extra in row[None]):  # type: ignore[index]
-            raise LoadError("row has more cells than the header", path=path, line=reader.line_num)
-        cleaned = {
-            key: (value.strip() if isinstance(value, str) else "")
-            for key, value in row.items()
-            if key is not None
-        }
-        yield reader.line_num, cleaned
+def _undecodable_line(source: Source) -> int | None:
+    """Line number of the first byte sequence of a file that is not UTF-8.
+
+    A decoding stream reads ahead in blocks, so the line its error stops at is
+    not the faulty one. Only a path can be read again; a stream gives None.
+    """
+    if hasattr(source, "read"):
+        return None
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    number = 0
+    with Path(source).open("rb") as handle:
+        for number, raw in enumerate(handle, 1):
+            try:
+                decoder.decode(raw)
+            except UnicodeDecodeError:
+                return number
+    return number  # a multi-byte sequence cut off by the end of the file
+
+
+def parse_count(cell: str, path: Source, line: int) -> int:
+    """A citation count: ASCII digits only, at most :data:`MAX_COUNT`."""
+    if not (cell.isascii() and cell.isdigit()):
+        digits = cell.removeprefix("-")
+        if digits != cell and digits.isascii() and digits.isdigit():
+            raise LoadError("negative citation count", path=path, line=line)
+        raise LoadError(f"invalid count {cell!r}", path=path, line=line)
+    significant = cell.lstrip("0") or "0"
+    # MAX_COUNT has 16 digits; int() would refuse a string of more than 4300
+    count = int(significant) if len(significant) <= 16 else MAX_COUNT + 1
+    if count > MAX_COUNT:
+        raise LoadError("count exceeds 2**53", path=path, line=line)
+    return count
+
+
+def parse_float(
+    cell: str, label: str, path: Source, line: int,
+    low: float = -math.inf, high: float = math.inf,
+) -> float:
+    """A finite decimal in ``[low, high]``, written in ASCII without digit separators.
+
+    ``label`` names the cell in error messages.
+    """
+    try:
+        value = float(cell)
+    except ValueError:
+        value = None
+    if value is None or not cell.isascii() or "_" in cell:
+        raise LoadError(f"invalid {label} {cell!r}", path=path, line=line)
+    if not math.isfinite(value):
+        raise LoadError(f"non-finite {label} {cell!r}", path=path, line=line)
+    if not low <= value <= high:
+        raise LoadError(f"{label} {cell!r} outside [{low:g}, {high:g}]", path=path, line=line)
+    return value
 
 
 def load_classification(
-    sc_file: str | Path | IO[str],
-    journal_file: str | Path | IO[str],
+    sc_file: Source,
+    journal_file: Source,
     *,
     n_categories: int | None = None,
 ) -> Corpus:
@@ -253,44 +320,41 @@ def load_classification(
     ``n_categories`` defaults to the number of distinct SCs in ``sc_file``.
     """
     sc_registry: dict[str, SubjectCategory] = {}
-    for line, row in _open_rows(sc_file, SC_FIELDS):
-        sc_id, name = row["sc_id"], row["name"]
+    for line, (sc_id, name, branch) in read_csv(sc_file, SC_FIELDS):
         if not sc_id or not name:
-            raise LoadError("sc_id and name must be non-empty", path=_name_of(sc_file), line=line)
+            raise LoadError("sc_id and name must be non-empty", path=sc_file, line=line)
         if sc_id in sc_registry:
-            raise LoadError(f"duplicate sc_id {sc_id!r}", path=_name_of(sc_file), line=line)
-        sc_registry[sc_id] = SubjectCategory(sc_id=sc_id, name=name, branch=row.get("branch") or None)
+            raise LoadError(f"duplicate sc_id {sc_id!r}", path=sc_file, line=line)
+        sc_registry[sc_id] = SubjectCategory(sc_id=sc_id, name=name, branch=branch or None)
 
     journals: dict[str, Journal] = {}
-    for line, row in _open_rows(journal_file, JOURNAL_FIELDS):
-        journal_id = row["journal_id"]
+    for line, (journal_id, title, memberships) in read_csv(journal_file, JOURNAL_FIELDS):
         if not journal_id:
-            raise LoadError("journal_id must be non-empty", path=_name_of(journal_file), line=line)
+            raise LoadError("journal_id must be non-empty", path=journal_file, line=line)
         if journal_id in journals:
-            raise LoadError(f"duplicate journal_id {journal_id!r}", path=_name_of(journal_file), line=line)
-        tokens = [token.strip() for token in row["sc_memberships"].split(";") if token.strip()]
+            raise LoadError(f"duplicate journal_id {journal_id!r}", path=journal_file, line=line)
+        tokens = [token.strip() for token in memberships.split(";") if token.strip()]
         if not tokens:
-            raise LoadError(f"journal without SC: {journal_id!r}", path=_name_of(journal_file), line=line)
+            raise LoadError(f"journal without SC: {journal_id!r}", path=journal_file, line=line)
         if len(tokens) != len(set(tokens)):
             raise LoadError(
-                f"duplicate SC membership for journal {journal_id!r}",
-                path=_name_of(journal_file), line=line,
+                f"duplicate SC membership for journal {journal_id!r}", path=journal_file, line=line
             )
         for sc_id in tokens:
             if sc_id not in sc_registry:
                 raise LoadError(
                     f"journal {journal_id!r} references unknown sc_id {sc_id!r}",
-                    path=_name_of(journal_file), line=line,
+                    path=journal_file, line=line,
                 )
         journals[journal_id] = Journal(
-            journal_id=journal_id, title=row.get("title", ""), sc_memberships=frozenset(tokens)
+            journal_id=journal_id, title=title, sc_memberships=frozenset(tokens)
         )
 
     n = len(sc_registry) if n_categories is None else n_categories
     return Corpus(sc_registry=sc_registry, journals=journals, edges=(), n_categories=n)
 
 
-def load_edges(corpus: Corpus, citation_file: str | Path | IO[str]) -> Corpus:
+def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
     """Attach citation edges to an already-classified corpus.
 
     Duplicate (focal, partner, dimension) rows are summed; repeated calls merge
@@ -301,22 +365,15 @@ def load_edges(corpus: Corpus, citation_file: str | Path | IO[str]) -> Corpus:
     merged: dict[tuple[str, str, Dimension], int] = {
         (e.focal_journal, e.partner_journal, e.dimension): e.count for e in corpus.edges
     }
-    path = _name_of(citation_file)
-    for line, row in _open_rows(citation_file, CITATION_FIELDS):
-        focal, partner = row["focal_journal_id"], row["partner_journal_id"]
+    for line, (focal, partner, dimension_cell, count_cell) in read_csv(citation_file, CITATION_FIELDS):
         for journal_id in (focal, partner):
             if journal_id not in corpus.journals:
-                raise LoadError(f"unknown journal id {journal_id!r}", path=path, line=line)
+                raise LoadError(f"unknown journal id {journal_id!r}", path=citation_file, line=line)
         try:
-            dimension = Dimension.parse(row["dimension"])
+            dimension = Dimension.parse(dimension_cell)
         except ValidationError as exc:
-            raise LoadError(str(exc), path=path, line=line) from None
-        try:
-            count = int(row["count"])
-        except ValueError:
-            raise LoadError(f"invalid count {row['count']!r}", path=path, line=line) from None
-        if count < 0:
-            raise LoadError("negative citation count", path=path, line=line)
+            raise LoadError(str(exc), path=citation_file, line=line) from None
+        count = parse_count(count_cell, citation_file, line)
         key = (focal, partner, dimension)
         merged[key] = merged.get(key, 0) + count
 
@@ -333,9 +390,9 @@ def load_edges(corpus: Corpus, citation_file: str | Path | IO[str]) -> Corpus:
 
 
 def load_corpus(
-    sc_file: str | Path | IO[str],
-    journal_file: str | Path | IO[str],
-    citation_file: str | Path | IO[str],
+    sc_file: Source,
+    journal_file: Source,
+    citation_file: Source,
     *,
     n_categories: int | None = None,
 ) -> Corpus:
@@ -343,8 +400,3 @@ def load_corpus(
     partial = load_classification(sc_file, journal_file, n_categories=n_categories)
     return load_edges(partial, citation_file)
 
-
-def _name_of(source: str | Path | IO[str]) -> object:
-    if hasattr(source, "read"):
-        return getattr(source, "name", "<stream>")
-    return source

@@ -18,6 +18,8 @@ class LoadError(ValidationError):
     """Malformed or inconsistent input file, carrying file/line context."""
 
     def __init__(self, message: str, path: object = None, line: int | None = None):
+        if hasattr(path, "read"):  # an open stream is named by its file name, if it has one
+            path = getattr(path, "name", "<stream>")
         self.path = str(path) if path is not None else None
         self.line = line
         if self.path is not None:

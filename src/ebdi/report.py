@@ -19,9 +19,9 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, CountingMode, Dimension, load_corpus
+from .corpus import Corpus, CountingMode, Dimension, Source, load_corpus, parse_float, read_csv
 from .errors import LoadError, NoCitationsError, ValidationError
 from .metrics import build_profile, compute_ebdi, compute_journal_indicators
 from .stats import MetricSeries, correlate, load_metric_series
@@ -43,6 +43,7 @@ ROLES_JOURNAL_COLUMNS = (
 ROLES_DISCIPLINE_COLUMNS = ("unit_id", "cited_ebdi", "citing_ebdi", "difference", "type")
 CORRELATION_COLUMNS = ("metric_x", "metric_y", "n", "rho", "p_two_tailed", "method_note")
 NETWORK_COLUMNS = ("source_sc", "target_sc", "weight")
+SCORES_COLUMNS = ("unit_id", "cited_ebdi", "citing_ebdi")
 
 #: integer-valued columns, emitted without decimals
 _INT_COLUMNS = {"sum_external", "raw_diversity", "n"}
@@ -163,48 +164,26 @@ def _run_meta(config: RunConfig, command: str, corpus: Corpus | None, **extra: o
 # -- score collection (shared by roles and correlations) ---------------------------
 
 
-def _read_scores_csv(source: str | Path | IO[str]) -> list[tuple[str, float | None, float | None]]:
+def _read_scores_csv(source: Source) -> list[tuple[str, float | None, float | None]]:
     """Precomputed indicator pairs: header ``unit_id,cited_ebdi,citing_ebdi``.
 
-    Empty cells mean the dimension is missing for that unit.
+    Empty cells mean the dimension is missing for that unit; any other cell
+    must be an indicator value in [0, 100].
     """
-    path = Path(source) if not hasattr(source, "read") else None
-    handle = path.open("r", encoding="utf-8-sig", newline="") if path else source
-    try:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise LoadError("empty file (missing header)", path=path)
-        required = ("unit_id", "cited_ebdi", "citing_ebdi")
-        names = [name.strip() for name in reader.fieldnames]
-        missing = [name for name in required if name not in names]
-        if missing:
-            raise LoadError(f"missing required column(s): {', '.join(missing)}", path=path, line=1)
-        seen: set[str] = set()
-        rows: list[tuple[str, float | None, float | None]] = []
-        for row in reader:
-            unit_id = (row.get("unit_id") or "").strip()
-            if not unit_id:
-                raise LoadError("unit_id must be non-empty", path=path, line=reader.line_num)
-            if unit_id in seen:
-                raise LoadError(f"duplicate unit_id {unit_id!r}", path=path, line=reader.line_num)
-            seen.add(unit_id)
-            values: list[float | None] = []
-            for column in ("cited_ebdi", "citing_ebdi"):
-                cell = (row.get(column) or "").strip()
-                if not cell:
-                    values.append(None)
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise LoadError(
-                        f"invalid {column} value {cell!r}", path=path, line=reader.line_num
-                    ) from None
-            rows.append((unit_id, values[0], values[1]))
-        return sorted(rows)
-    finally:
-        if path is not None:
-            handle.close()
+    seen: set[str] = set()
+    rows: list[tuple[str, float | None, float | None]] = []
+    for line, (unit_id, *cells) in read_csv(source, SCORES_COLUMNS):
+        if not unit_id:
+            raise LoadError("unit_id must be non-empty", path=source, line=line)
+        if unit_id in seen:
+            raise LoadError(f"duplicate unit_id {unit_id!r}", path=source, line=line)
+        seen.add(unit_id)
+        cited, citing = (
+            parse_float(cell, f"{column} value", source, line, 0.0, 100.0) if cell else None
+            for column, cell in zip(SCORES_COLUMNS[1:], cells)
+        )
+        rows.append((unit_id, cited, citing))
+    return sorted(rows)
 
 
 def _collect_score_pairs(

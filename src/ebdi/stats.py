@@ -12,18 +12,18 @@ dropped for that pair only.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from scipy.stats import t as _student_t
+from scipy.stats import rankdata, t as _student_t
 
+from .corpus import Source, parse_float, read_csv
 from .errors import LoadError, ValidationError
 
 METHOD_NOTE_T_APPROX = "t-approximation (df=n-2)"
 METHOD_NOTE_DEGENERATE = "|rho|=1; p=0 by convention"
+METRIC_FIELDS = ("journal_id", "metric_name", "value")
 
 
 @dataclass(frozen=True)
@@ -49,22 +49,6 @@ class CorrelationResult:
     rho: float
     p_two_tailed: float
     method_note: str
-
-
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    """1-based ranks, ties sharing the average of the ranks they span."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j + 2) / 2.0  # average of 1-based ranks i+1 .. j+1
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
 
 
 def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -96,7 +80,7 @@ def spearman_rho(x: MetricSeries, y: MetricSeries) -> tuple[float, int]:
         )
     xs = [x.values[unit] for unit in overlap]
     ys = [y.values[unit] for unit in overlap]
-    rho = _pearson(_average_ranks(xs), _average_ranks(ys))
+    rho = _pearson(rankdata(xs).tolist(), rankdata(ys).tolist())
     return rho, len(overlap)
 
 
@@ -131,54 +115,23 @@ def correlate(x: MetricSeries, y: MetricSeries) -> CorrelationResult:
     )
 
 
-def load_metric_series(source: str | Path | IO[str]) -> list[MetricSeries]:
+def load_metric_series(source: Source) -> list[MetricSeries]:
     """Read long-format metric values: header ``journal_id,metric_name,value``.
 
     Returns one series per metric name, sorted by name. Duplicate
-    (journal, metric) rows and non-numeric values are load errors.
+    (journal, metric) rows and values that are not finite decimals are load errors.
     """
-    if hasattr(source, "read"):
-        handle = source
-        path: object = getattr(source, "name", "<stream>")
-        return _read_metric_rows(handle, path)
-    path = Path(source)
-    try:
-        handle = path.open("r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise LoadError(f"cannot open file: {exc.strerror or exc}", path=path) from exc
-    with handle:
-        return _read_metric_rows(handle, path)
-
-
-def _read_metric_rows(handle: IO[str], path: object) -> list[MetricSeries]:
-    reader = csv.DictReader(handle)
-    if reader.fieldnames is None:
-        raise LoadError("empty file (missing header)", path=path)
-    required = ("journal_id", "metric_name", "value")
-    missing = [name for name in required if name not in [f.strip() for f in reader.fieldnames]]
-    if missing:
-        raise LoadError(f"missing required column(s): {', '.join(missing)}", path=path, line=1)
     by_metric: dict[str, dict[str, float]] = {}
-    for row in reader:
-        journal_id = (row.get("journal_id") or "").strip()
-        metric_name = (row.get("metric_name") or "").strip()
-        raw_value = (row.get("value") or "").strip()
+    for line, (journal_id, metric_name, cell) in read_csv(source, METRIC_FIELDS):
         if not journal_id or not metric_name:
-            raise LoadError("journal_id and metric_name must be non-empty",
-                            path=path, line=reader.line_num)
-        try:
-            value = float(raw_value)
-        except ValueError:
-            raise LoadError(f"invalid value {raw_value!r}", path=path, line=reader.line_num) from None
-        if not math.isfinite(value):
-            raise LoadError(f"non-finite value {raw_value!r}", path=path, line=reader.line_num)
+            raise LoadError("journal_id and metric_name must be non-empty", path=source, line=line)
         series = by_metric.setdefault(metric_name, {})
         if journal_id in series:
             raise LoadError(
                 f"duplicate value for journal {journal_id!r}, metric {metric_name!r}",
-                path=path, line=reader.line_num,
+                path=source, line=line,
             )
-        series[journal_id] = value
+        series[journal_id] = parse_float(cell, "value", source, line)
     return [
         MetricSeries(metric_name=name, values=dict(sorted(values.items())))
         for name, values in sorted(by_metric.items())
