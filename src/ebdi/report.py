@@ -460,9 +460,6 @@ def export_sc_network(config: RunConfig) -> list[dict[str, object]]:
         config, "network", corpus,
         dimension=config.dimension.value, top_k=config.top_k,
     )
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    path = config.out_dir / "sc_network.csv"
-    _write_csv(path, NETWORK_COLUMNS, rows, config.decimals)
-    _write_json(config.out_dir / "run_meta.json", meta)
+    path = _write_table(config, "sc_network", NETWORK_COLUMNS, rows, meta)
     log.info("wrote %s (%d edges, %d SCs retained)", path, len(rows), min(config.top_k, len(ranked)))
     return rows

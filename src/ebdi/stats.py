@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from scipy.stats import rankdata, t as _student_t
-
 from .corpus import Source, parse_float, read_csv
 from .errors import LoadError, ValidationError
 
@@ -78,6 +76,8 @@ def spearman_rho(x: MetricSeries, y: MetricSeries) -> tuple[float, int]:
             f"only {len(overlap)} overlapping units between {x.metric_name!r} and "
             f"{y.metric_name!r}; need at least 3"
         )
+    from scipy.stats import rankdata  # imported here so only correlate runs pay scipy's ~1 s import
+
     xs = [x.values[unit] for unit in overlap]
     ys = [y.values[unit] for unit in overlap]
     rho = _pearson(rankdata(xs).tolist(), rankdata(ys).tolist())
@@ -96,6 +96,8 @@ def p_two_tailed(rho: float, n: int) -> float:
         raise ValidationError("rho must lie in [-1, 1]")
     if abs(rho) == 1.0:
         return 0.0
+    from scipy.stats import t as _student_t  # imported here, as in spearman_rho
+
     t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     p = 2.0 * float(_student_t.sf(abs(t_stat), n - 2))
     return min(1.0, max(0.0, p))

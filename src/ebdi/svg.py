@@ -9,8 +9,8 @@ ids). Element classes are stable so the output is machine-checkable:
 
 from __future__ import annotations
 
+from html import escape
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 WIDTH = 880
 HEIGHT = 640
@@ -85,7 +85,7 @@ def scatter_svg(
     if title:
         out.append(
             f'<text class="title" x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-size="16">{escape(title)}</text>'
+            f'font-size="16">{escape(title, quote=False)}</text>'
         )
 
     # frame and axes
@@ -115,11 +115,11 @@ def scatter_svg(
         )
     out.append(
         f'<text class="axis-label" x="{_fmt((left + right) / 2)}" y="{HEIGHT - 16}" '
-        f'text-anchor="middle" font-size="13">{escape(x_label)}</text>'
+        f'text-anchor="middle" font-size="13">{escape(x_label, quote=False)}</text>'
     )
     out.append(
         f'<text class="axis-label" x="18" y="{_fmt((top + bottom) / 2)}" text-anchor="middle" '
-        f'font-size="13" transform="rotate(-90 18 {_fmt((top + bottom) / 2)})">{escape(y_label)}</text>'
+        f'font-size="13" transform="rotate(-90 18 {_fmt((top + bottom) / 2)})">{escape(y_label, quote=False)}</text>'
     )
 
     # the two median threshold lines
@@ -145,7 +145,7 @@ def scatter_svg(
             if label:
                 out.append(
                     f'<text class="quadrant-label" x="{cx}" y="{cy}" text-anchor="{anchor}" '
-                    f'font-size="11" fill="#999999">{escape(label)}</text>'
+                    f'font-size="11" fill="#999999">{escape(label, quote=False)}</text>'
                 )
 
     for label, x, y in points:
@@ -156,7 +156,7 @@ def scatter_svg(
         )
         out.append(
             f'<text class="point-label" x="{_fmt(px + 6)}" y="{_fmt(py - 5)}" '
-            f'font-size="10" fill="#333333">{escape(label)}</text>'
+            f'font-size="10" fill="#333333">{escape(label, quote=False)}</text>'
         )
 
     out.append("</svg>")

@@ -100,6 +100,22 @@ def test_network_end_to_end(tmp_path, corpus_paths):
     assert len(lines) > 1
 
 
+def test_network_json_format(tmp_path, corpus_paths):
+    csv_out, json_out = tmp_path / "csv", tmp_path / "json"
+    args = ["network", *corpus_args(corpus_paths), "--dimension", "cited",
+            "--top-k", "2", "--counting", "fractional"]
+    assert main([*args, "--out", str(csv_out)]) == 0
+    assert main([*args, "--out", str(json_out), "--format", "json"]) == 0
+    assert not (json_out / "sc_network.csv").exists()
+    payload = json.loads((json_out / "sc_network.json").read_text())
+    assert payload["meta"]["format"] == "json"
+    assert payload["meta"] == json.loads((json_out / "run_meta.json").read_text())
+    json_rows = [(r["source_sc"], r["target_sc"], r["weight"]) for r in payload["rows"]]
+    csv_lines = (csv_out / "sc_network.csv").read_text().splitlines()[1:]
+    assert json_rows == [(s, t, float(w)) for s, t, w in (line.split(",") for line in csv_lines)]
+    assert any(not float(weight).is_integer() for _, _, weight in json_rows)
+
+
 def test_missing_input_file_exits_1(tmp_path, corpus_paths):
     code = main(["indicators",
                  "--classification", str(tmp_path / "nope.csv"),

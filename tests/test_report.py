@@ -20,6 +20,7 @@ from ebdi import (
     run_indicators,
     run_roles,
 )
+from ebdi.svg import scatter_svg
 from conftest import write_corpus_files
 from oracle import (
     brute_indicator_rows,
@@ -288,6 +289,19 @@ class TestScatterPlot:
         first = self._roles_run(tmp_path / "r1", rows)
         second = self._roles_run(tmp_path / "r2", rows)
         assert first == second
+
+    def test_text_is_escaped_for_xml(self):
+        raw = "&<>\"'"
+        svg_text = scatter_svg(
+            [(f"u{raw}", 1.0, 2.0), ("v", 3.0, 4.0)], 2.0, 3.0,
+            x_label=f"x{raw}", y_label="y",
+            quadrant_labels={"top_left": f"q{raw}"}, title=f"t{raw}",
+        )
+        escaped = "&amp;&lt;&gt;\"'"
+        for text in (f"t{escaped}", f"x{escaped}", f"q{escaped}", f"u{escaped}"):
+            assert f">{text}</text>" in svg_text
+        labels = {el.text for el in ET.fromstring(svg_text).iter() if el.tag.endswith("text")}
+        assert {f"t{raw}", f"x{raw}", f"q{raw}", f"u{raw}"} <= labels
 
 
 class TestRunCorrelations:
