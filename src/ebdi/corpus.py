@@ -1,10 +1,10 @@
-"""Classification registries and citation edge storage.
+"""Classification registries and citation count storage.
 
 This module owns the input side of the toolkit: the subject-category (SC)
 registry, the journal registry with per-journal SC memberships, and the
-directed citation edge list. Everything is parsed from plain CSV exports
-(schemas documented in the README) into an immutable :class:`Corpus`, which
-downstream modules treat as a read-only database.
+directed citation counts between journals. Everything is parsed from
+plain CSV exports (schemas documented in the README) into an immutable
+:class:`Corpus`, which downstream modules treat as a read-only database.
 
 The one piece of domain logic living here is :func:`is_internal`: a citation
 partner counts as internal to a focal subject category exactly when the
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 from .errors import LoadError, ValidationError
 
@@ -97,12 +97,11 @@ class Journal:
             raise ValidationError(f"journal without SC: {self.journal_id!r}")
 
 
-@dataclass(frozen=True)
-class CitationEdge:
+class CitationEdge(NamedTuple):
     """Citation volume between a focal journal and one partner, one dimension.
 
-    ``count`` is the aggregated all-years citation count; duplicate input rows
-    for the same (focal, partner, dimension) are summed at ingest.
+    ``count`` is the aggregated all-years citation count. Edges are a view of
+    :attr:`Corpus.citations`, built only when :attr:`Corpus.edges` is read.
     """
 
     focal_journal: str
@@ -110,17 +109,13 @@ class CitationEdge:
     dimension: Dimension
     count: int
 
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValidationError(
-                f"negative citation count for edge "
-                f"({self.focal_journal}, {self.partner_journal}, {self.dimension.value})"
-            )
-
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable registry of SCs, journals, and citation edges.
+    """Immutable registry of SCs, journals, and citation counts.
+
+    ``citations``, the one stored form of the edges, maps (focal journal,
+    dimension) to {partner journal: summed count, 0 kept}, sorted by partner.
 
     ``n_categories`` is the number of possible subject categories in the
     system, used downstream as the n of the maximum entropy ln(n). It defaults
@@ -130,7 +125,7 @@ class Corpus:
 
     sc_registry: dict[str, SubjectCategory]
     journals: dict[str, Journal]
-    edges: tuple[CitationEdge, ...]
+    citations: dict[tuple[str, Dimension], dict[str, int]]
     n_categories: int
 
     def __post_init__(self) -> None:
@@ -142,10 +137,12 @@ class Corpus:
                         f"journal {journal.journal_id!r} references unknown sc_id {sc_id!r}"
                     )
                 used_scs.add(sc_id)
-        for edge in self.edges:
-            for endpoint in (edge.focal_journal, edge.partner_journal):
-                if endpoint not in self.journals:
-                    raise ValidationError(f"edge references unknown journal {endpoint!r}")
+        for (focal, dimension), partners in self.citations.items():
+            unknown = [j for j in (focal, *partners) if j not in self.journals]
+            if unknown:
+                raise ValidationError(f"edge references unknown journal {unknown[0]!r}")
+            if min(partners.values(), default=0) < 0:
+                raise ValidationError(f"negative citation count in ({focal}, {dimension.value})")
         if self.n_categories < 1:
             raise ValidationError("n_categories must be >= 1")
         if self.n_categories < len(used_scs):
@@ -157,22 +154,25 @@ class Corpus:
     # -- read-only conveniences -------------------------------------------------
 
     @property
+    def edges(self) -> tuple[CitationEdge, ...]:
+        """Every merged edge, sorted by (focal, partner, dimension); built on each read."""
+        return tuple(sorted(
+            CitationEdge(focal, partner, dimension, count)
+            for (focal, dimension), partners in self.citations.items()
+            for partner, count in partners.items()
+        ))
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.citations.values()))
 
     def total_citations(self, dimension: Dimension | None = None) -> int:
         """Total citation volume, optionally restricted to one dimension."""
-        return sum(e.count for e in self.edges if dimension is None or e.dimension is dimension)
-
-    @cached_property
-    def _edges_by_focal(self) -> dict[tuple[str, Dimension], tuple[CitationEdge, ...]]:
-        index: dict[tuple[str, Dimension], list[CitationEdge]] = {}
-        for edge in self.edges:
-            index.setdefault((edge.focal_journal, edge.dimension), []).append(edge)
-        return {key: tuple(edges) for key, edges in index.items()}
-
-    def edges_for(self, journal_id: str, dimension: Dimension) -> tuple[CitationEdge, ...]:
-        return self._edges_by_focal.get((journal_id, dimension), ())
+        return sum(
+            sum(partners.values())
+            for (_, d), partners in self.citations.items()
+            if dimension is None or d is dimension
+        )
 
     @cached_property
     def _journals_by_sc(self) -> dict[str, tuple[str, ...]]:
@@ -315,7 +315,7 @@ def load_classification(
     *,
     n_categories: int | None = None,
 ) -> Corpus:
-    """Load the SC and journal registries; returns a corpus with no edges yet.
+    """Load the SC and journal registries; returns a corpus with no citations yet.
 
     ``n_categories`` defaults to the number of distinct SCs in ``sc_file``.
     """
@@ -333,6 +333,8 @@ def load_classification(
             raise LoadError("journal_id must be non-empty", path=journal_file, line=line)
         if journal_id in journals:
             raise LoadError(f"duplicate journal_id {journal_id!r}", path=journal_file, line=line)
+        if journal_id in sc_registry:
+            raise LoadError(f"journal_id {journal_id!r} is also an sc_id", path=journal_file, line=line)
         tokens = [token.strip() for token in memberships.split(";") if token.strip()]
         if not tokens:
             raise LoadError(f"journal without SC: {journal_id!r}", path=journal_file, line=line)
@@ -351,37 +353,35 @@ def load_classification(
         )
 
     n = len(sc_registry) if n_categories is None else n_categories
-    return Corpus(sc_registry=sc_registry, journals=journals, edges=(), n_categories=n)
+    return Corpus(sc_registry=sc_registry, journals=journals, citations={}, n_categories=n)
 
 
 def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
-    """Attach citation edges to an already-classified corpus.
+    """Attach citation counts to an already-classified corpus.
 
     Duplicate (focal, partner, dimension) rows are summed; repeated calls merge
-    into the existing edge multiset, so per-year export files can be loaded one
-    after another. The resulting edge tuple is canonically sorted, which makes
-    loading independent of input row order.
+    into a copy of the existing counts, so per-year export files can be loaded
+    one after another. Each partner map is sorted by partner id, which makes
+    loading independent of input row order. Ids are stored as the journal
+    registry's own strings, one object per journal.
     """
-    merged: dict[tuple[str, str, Dimension], int] = {
-        (e.focal_journal, e.partner_journal, e.dimension): e.count for e in corpus.edges
-    }
+    known = {journal_id: journal_id for journal_id in corpus.journals}
+    citations = {key: dict(partners) for key, partners in corpus.citations.items()}
     for line, (focal, partner, dimension_cell, count_cell) in read_csv(citation_file, CITATION_FIELDS):
         for journal_id in (focal, partner):
-            if journal_id not in corpus.journals:
+            if journal_id not in known:
                 raise LoadError(f"unknown journal id {journal_id!r}", path=citation_file, line=line)
         try:
             dimension = Dimension.parse(dimension_cell)
         except ValidationError as exc:
             raise LoadError(str(exc), path=citation_file, line=line) from None
         count = parse_count(count_cell, citation_file, line)
-        key = (focal, partner, dimension)
-        merged[key] = merged.get(key, 0) + count
+        partners = citations.setdefault((known[focal], dimension), {})
+        partners[known[partner]] = partners.get(partner, 0) + count
+    for key, partners in citations.items():
+        citations[key] = dict(sorted(partners.items()))
 
-    edges = tuple(
-        CitationEdge(focal_journal=f, partner_journal=p, dimension=d, count=c)
-        for (f, p, d), c in sorted(merged.items(), key=lambda item: (item[0][0], item[0][1], item[0][2].value))
-    )
-    loaded = replace(corpus, edges=edges)
+    loaded = replace(corpus, citations=citations)
     log.info(
         "loaded %d citation edges, total citation volume %d",
         loaded.edge_count, loaded.total_citations(),

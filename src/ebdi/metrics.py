@@ -192,7 +192,7 @@ def build_profile(
     dimension: Dimension,
     counting_mode: CountingMode = CountingMode.WHOLE,
 ) -> CitationProfile:
-    """Classify every edge of a unit in one dimension as internal or external.
+    """Classify every citation partner of a unit in one dimension as internal or external.
 
     The unit may be a journal (the focal SC must be one of its memberships) or
     a subject category (the focal SC must be the category itself; the profile
@@ -227,18 +227,18 @@ def build_profile(
     external_total = 0.0
     external: dict[str, float] = {}
     for member in member_journals:
-        for edge in corpus.edges_for(member, dimension):
-            if edge.count == 0:
+        for partner, count in corpus.citations.get((member, dimension), {}).items():
+            if count == 0:
                 continue
-            if is_internal(corpus, edge.partner_journal, focal_sc):
-                internal += edge.count
+            if is_internal(corpus, partner, focal_sc):
+                internal += count
                 continue
-            external_total += edge.count
-            partner_scs = corpus.journals[edge.partner_journal].sc_memberships
+            external_total += count
+            partner_scs = corpus.journals[partner].sc_memberships
             if counting_mode is CountingMode.WHOLE:
-                share = float(edge.count)
+                share = float(count)
             else:
-                share = edge.count / len(partner_scs)
+                share = count / len(partner_scs)
             for sc_id in partner_scs:
                 external[sc_id] = external.get(sc_id, 0.0) + share
 

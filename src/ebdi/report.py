@@ -407,18 +407,19 @@ def aggregate_sc_network(
     total volume.
     """
     weights: dict[tuple[str, str], float] = {}
-    for edge in corpus.edges:
-        if edge.dimension is not dimension or edge.count == 0:
-            continue
-        focal_scs = sorted(corpus.journals[edge.focal_journal].sc_memberships)
-        partner_scs = sorted(corpus.journals[edge.partner_journal].sc_memberships)
-        if counting_mode is CountingMode.WHOLE:
-            share = float(edge.count)
-        else:
-            share = edge.count / (len(focal_scs) * len(partner_scs))
-        for source in focal_scs:
-            for target in partner_scs:
-                weights[(source, target)] = weights.get((source, target), 0.0) + share
+    for focal in sorted(corpus.journals):  # sorted focal, then sorted partner: fixed float sums
+        focal_scs = sorted(corpus.journals[focal].sc_memberships)
+        for partner, count in corpus.citations.get((focal, dimension), {}).items():
+            if count == 0:
+                continue
+            partner_scs = sorted(corpus.journals[partner].sc_memberships)
+            if counting_mode is CountingMode.WHOLE:
+                share = float(count)
+            else:
+                share = count / (len(focal_scs) * len(partner_scs))
+            for source in focal_scs:
+                for target in partner_scs:
+                    weights[(source, target)] = weights.get((source, target), 0.0) + share
     return weights
 
 

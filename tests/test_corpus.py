@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ebdi import (
-    CitationEdge,
     Corpus,
     Dimension,
     Journal,
@@ -205,15 +204,22 @@ class TestCorpusIntegrity:
     def test_edge_to_unknown_journal_rejected(self):
         sc = {"A": SubjectCategory("A", "A")}
         journals = {"J1": Journal("J1", "One", frozenset({"A"}))}
-        bad_edge = CitationEdge("J1", "JX", Dimension.CITED, 1)
+        bad_citations = {("J1", Dimension.CITED): {"JX": 1}}
         with pytest.raises(ValidationError, match="unknown journal 'JX'"):
-            Corpus(sc_registry=sc, journals=journals, edges=(bad_edge,), n_categories=1)
+            Corpus(sc_registry=sc, journals=journals, citations=bad_citations, n_categories=1)
 
     def test_membership_to_unknown_sc_rejected(self):
         sc = {"A": SubjectCategory("A", "A")}
         journals = {"J1": Journal("J1", "One", frozenset({"A", "Z"}))}
         with pytest.raises(ValidationError, match="unknown sc_id 'Z'"):
-            Corpus(sc_registry=sc, journals=journals, edges=(), n_categories=2)
+            Corpus(sc_registry=sc, journals=journals, citations={}, n_categories=2)
+
+    def test_negative_count_rejected(self):
+        sc = {"A": SubjectCategory("A", "A")}
+        journals = {"J1": Journal("J1", "One", frozenset({"A"}))}
+        citations = {("J1", Dimension.CITING): {"J1": -1}}
+        with pytest.raises(ValidationError, match=r"negative citation count in \(J1, CITING\)"):
+            Corpus(sc_registry=sc, journals=journals, citations=citations, n_categories=1)
 
     def test_journals_in_sorted(self):
         corpus = make_corpus(
@@ -260,5 +266,5 @@ class TestIsInternal:
 def test_is_internal_is_pure_membership_test(memberships, focal):
     sc = {s: SubjectCategory(s, s) for s in "ABCD"}
     journals = {"P": Journal("P", "Partner", frozenset(memberships))}
-    corpus = Corpus(sc_registry=sc, journals=journals, edges=(), n_categories=4)
+    corpus = Corpus(sc_registry=sc, journals=journals, citations={}, n_categories=4)
     assert is_internal(corpus, "P", focal) == (focal in memberships)

@@ -207,6 +207,28 @@ def test_bom_and_blank_lines_are_ignored():
     assert series.values == {"J1": 2.5}
 
 
+@pytest.mark.parametrize("membership", ["MGMT", "LIS"])
+def test_journal_id_that_is_an_sc_id_exits_1(tmp_path, caplog, membership):
+    """A unit id names a journal or a discipline, never both.
+
+    Before this was rejected, a journal ``MGMT`` shadowed the discipline MGMT:
+    with membership MGMT, ``roles --unit-type discipline`` reported that one
+    journal's profile as the discipline's; with membership LIS, the run
+    failed on "focal SC 'MGMT' is not among the memberships of journal 'MGMT'".
+    """
+    paths = sample_inputs(tmp_path)
+    with paths["journals"].open("a", encoding="utf-8") as handle:
+        handle.write(f"MGMT,Shadow of a discipline,{membership}\n")
+    with paths["citations"].open("a", encoding="utf-8") as handle:
+        handle.write("MGMT,JINF,CITED,5\n")
+    argv = ["roles", "--unit-type", "discipline", "--out", str(tmp_path / "out"),
+            *(arg for flag in ("classification", "journals", "citations")
+              for arg in (f"--{flag}", str(paths[flag])))]
+    with caplog.at_level(logging.ERROR):
+        assert main(argv) == 1
+    assert f"{paths['journals']}:10: journal_id 'MGMT' is also an sc_id" in caplog.text
+
+
 def test_out_naming_a_file_exits_1(tmp_path, caplog):
     paths = sample_inputs(tmp_path)
     taken = tmp_path / "taken"
