@@ -82,7 +82,7 @@ class SubjectCategory:
             raise ValidationError(f"subject category {self.sc_id!r} with empty name")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Journal:
     """A journal plus the set of subject categories it is classified in."""
 
@@ -137,9 +137,10 @@ class Corpus:
                         f"journal {journal.journal_id!r} references unknown sc_id {sc_id!r}"
                     )
                 used_scs.add(sc_id)
+        journal_ids = self.journals.keys()
         for (focal, dimension), partners in self.citations.items():
-            unknown = [j for j in (focal, *partners) if j not in self.journals]
-            if unknown:
+            if focal not in journal_ids or not partners.keys() <= journal_ids:
+                unknown = [j for j in (focal, *partners) if j not in journal_ids]
                 raise ValidationError(f"edge references unknown journal {unknown[0]!r}")
             if min(partners.values(), default=0) < 0:
                 raise ValidationError(f"negative citation count in ({focal}, {dimension.value})")
@@ -318,6 +319,8 @@ def load_classification(
     """Load the SC and journal registries; returns a corpus with no citations yet.
 
     ``n_categories`` defaults to the number of distinct SCs in ``sc_file``.
+    Membership sets hold the SC registry's own id strings, and journals with
+    equal memberships share one frozenset.
     """
     sc_registry: dict[str, SubjectCategory] = {}
     for line, (sc_id, name, branch) in read_csv(sc_file, SC_FIELDS):
@@ -328,6 +331,8 @@ def load_classification(
         sc_registry[sc_id] = SubjectCategory(sc_id=sc_id, name=name, branch=branch or None)
 
     journals: dict[str, Journal] = {}
+    # one frozenset per distinct membership set, shared by every journal that has it
+    shared: dict[frozenset[str], frozenset[str]] = {}
     for line, (journal_id, title, memberships) in read_csv(journal_file, JOURNAL_FIELDS):
         if not journal_id:
             raise LoadError("journal_id must be non-empty", path=journal_file, line=line)
@@ -348,8 +353,10 @@ def load_classification(
                     f"journal {journal_id!r} references unknown sc_id {sc_id!r}",
                     path=journal_file, line=line,
                 )
+        sc_memberships = frozenset(sc_registry[sc_id].sc_id for sc_id in tokens)
+        sc_memberships = shared.setdefault(sc_memberships, sc_memberships)
         journals[journal_id] = Journal(
-            journal_id=journal_id, title=title, sc_memberships=frozenset(tokens)
+            journal_id=journal_id, title=title, sc_memberships=sc_memberships
         )
 
     n = len(sc_registry) if n_categories is None else n_categories
@@ -363,21 +370,32 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
     into a copy of the existing counts, so per-year export files can be loaded
     one after another. Each partner map is sorted by partner id, which makes
     loading independent of input row order. Ids are stored as the journal
-    registry's own strings, one object per journal.
+    registry's own strings, one object per journal. Canonical dimension and
+    count cells are read directly; any other cell goes through
+    :meth:`Dimension.parse` or :func:`parse_count`, which accept or reject it.
     """
     known = {journal_id: journal_id for journal_id in corpus.journals}
+    dimensions = {dimension.value: dimension for dimension in Dimension}
     citations = {key: dict(partners) for key, partners in corpus.citations.items()}
     for line, (focal, partner, dimension_cell, count_cell) in read_csv(citation_file, CITATION_FIELDS):
-        for journal_id in (focal, partner):
-            if journal_id not in known:
-                raise LoadError(f"unknown journal id {journal_id!r}", path=citation_file, line=line)
-        try:
-            dimension = Dimension.parse(dimension_cell)
-        except ValidationError as exc:
-            raise LoadError(str(exc), path=citation_file, line=line) from None
-        count = parse_count(count_cell, citation_file, line)
-        partners = citations.setdefault((known[focal], dimension), {})
-        partners[known[partner]] = partners.get(partner, 0) + count
+        focal_id = known.get(focal)
+        partner_id = known.get(partner)
+        if focal_id is None or partner_id is None:
+            unknown = focal if focal_id is None else partner
+            raise LoadError(f"unknown journal id {unknown!r}", path=citation_file, line=line)
+        dimension = dimensions.get(dimension_cell)
+        if dimension is None:
+            try:
+                dimension = Dimension.parse(dimension_cell)
+            except ValidationError as exc:
+                raise LoadError(str(exc), path=citation_file, line=line) from None
+        # up to 15 digits stay below MAX_COUNT; parse_count judges every other cell
+        if count_cell.isdigit() and count_cell.isascii() and len(count_cell) <= 15:
+            count = int(count_cell)
+        else:
+            count = parse_count(count_cell, citation_file, line)
+        partners = citations.setdefault((focal_id, dimension), {})
+        partners[partner_id] = partners.get(partner_id, 0) + count
     for key, partners in citations.items():
         citations[key] = dict(sorted(partners.items()))
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .corpus import Corpus, CountingMode, Dimension, is_internal
+from .corpus import Corpus, CountingMode, Dimension
 from .errors import ComputationError, NoCitationsError, ValidationError
 
 #: Tolerance for internal consistency checks on derived quantities.
@@ -226,15 +226,17 @@ def build_profile(
     internal = 0.0
     external_total = 0.0
     external: dict[str, float] = {}
+    journals = corpus.journals
     for member in member_journals:
         for partner, count in corpus.citations.get((member, dimension), {}).items():
             if count == 0:
                 continue
-            if is_internal(corpus, partner, focal_sc):
+            partner_scs = journals[partner].sc_memberships
+            # the Boolean rule of is_internal: a partner in the focal SC is wholly internal
+            if focal_sc in partner_scs:
                 internal += count
                 continue
             external_total += count
-            partner_scs = corpus.journals[partner].sc_memberships
             if counting_mode is CountingMode.WHOLE:
                 share = float(count)
             else:

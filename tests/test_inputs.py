@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ebdi import LoadError, load_metric_series
+from ebdi import LoadError, load_corpus, load_metric_series
 from ebdi.cli import main
 from conftest import make_corpus
 
@@ -186,6 +186,34 @@ def test_huge_count_exits_1(tmp_path, caplog):
     code, path, log = run_with(tmp_path, caplog, "citations", text)
     assert code == 1
     assert f"{path}:2: count exceeds 2**53" in log
+
+
+def test_row_fast_path_agrees_with_the_strict_parsers(tmp_path):
+    """Cells the per-row fast path takes and cells it hands to the strict parsers load alike."""
+    header = "focal_journal_id,partner_journal_id,dimension,count\n"
+    messy = tmp_path / "messy.csv"
+    messy.write_text(header + "".join(f"{row}\n" for row in (
+        " JINF , QMIS ,CITED, 007",
+        "JINF,QMIS,cited,0000000000000042",
+        "QMIS,JINF, Citing ,999999999999999",
+        "ARIS,JINF,CITING,1000000000000000",
+        f"ARIS,QMIS,CITED,{2**53}",
+        "ISJX,ARIS,citing,0",
+    )), encoding="utf-8")
+    clean = tmp_path / "clean.csv"
+    clean.write_text(header + "".join(f"{row}\n" for row in (
+        "JINF,QMIS,CITED,49",
+        f"QMIS,JINF,CITING,{10**15 - 1}",
+        f"ARIS,JINF,CITING,{10**15}",
+        f"ARIS,QMIS,CITED,{2**53}",
+        "ISJX,ARIS,CITING,0",
+    )), encoding="utf-8")
+    registry = [SAMPLE / "subject_categories.csv", SAMPLE / "journals.csv"]
+    assert load_corpus(*registry, messy).citations == load_corpus(*registry, clean).citations
+
+    messy.write_text(header + "JINF,QMIS,CITED,7\nJINF,QMIS,CITED,9999999999999999\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=re.escape(f"{messy}:3: count exceeds 2**53")):
+        load_corpus(*registry, messy)
 
 
 @pytest.mark.parametrize("value", ["1_0", "١٢", "nan", "-inf", "1e999", "0x10"])
