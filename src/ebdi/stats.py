@@ -3,8 +3,11 @@
 Ranks are assigned smallest-first with tied values sharing their average rank;
 the correlation is the Pearson correlation of the two rank vectors, which is
 the tie-correct form of Spearman's rho. Significance uses the standard t
-approximation, t = rho * sqrt((n-2) / (1-rho^2)) with n-2 degrees of freedom,
-recorded in ``method_note`` of every result.
+approximation, t = rho * sqrt((n-2) / (1-rho^2)) with df = n-2 degrees of
+freedom, recorded in ``method_note`` of every result. The two-tailed p is the
+Student-t tail P(|T| > |t|) = I_x(df/2, 1/2), the regularized incomplete beta
+at x = df / (df + t^2), evaluated by its continued fraction in the standard
+library alone.
 
 Series are joined pairwise-complete: units missing from either series are
 dropped for that pair only.
@@ -13,15 +16,25 @@ dropped for that pair only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Mapping, Sequence
 
 from .corpus import Source, parse_float, read_csv
-from .errors import LoadError, ValidationError
+from .errors import ComputationError, LoadError, ValidationError
 
 METHOD_NOTE_T_APPROX = "t-approximation (df=n-2)"
 METHOD_NOTE_DEGENERATE = "|rho|=1; p=0 by convention"
 METRIC_FIELDS = ("journal_id", "metric_name", "value")
+# correlate adds the indicator's own two series under these names
+RESERVED_METRIC_NAMES = frozenset({"cited_ebdi", "citing_ebdi"})
+
+# Near the switch point in p_two_tailed the continued fraction needs
+# about 5 * sqrt(df / 2) terms (501 at df = 20,000, 3,521 at df = 10**6), so
+# this cap covers overlaps of up to about 7 million units.
+_BETA_CF_MAX_TERMS = 10_000
+_BETA_CF_TINY = sys.float_info.min / sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -64,6 +77,23 @@ def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
+def _average_ranks(values: Sequence[float]) -> list[float]:
+    """1-based ranks, smallest first; each run of equal values gets its mean position.
+
+    A mean of consecutive integers is a whole or half number, so the ranks
+    are exact floats.
+    """
+    ranks = [0.0] * len(values)
+    done = 0
+    for _, run in groupby(sorted(range(len(values)), key=values.__getitem__), key=values.__getitem__):
+        run = list(run)
+        rank = done + (len(run) + 1) / 2
+        for index in run:
+            ranks[index] = rank
+        done += len(run)
+    return ranks
+
+
 def spearman_rho(x: MetricSeries, y: MetricSeries) -> tuple[float, int]:
     """Tie-corrected Spearman correlation over the units present in both series.
 
@@ -76,11 +106,9 @@ def spearman_rho(x: MetricSeries, y: MetricSeries) -> tuple[float, int]:
             f"only {len(overlap)} overlapping units between {x.metric_name!r} and "
             f"{y.metric_name!r}; need at least 3"
         )
-    from scipy.stats import rankdata  # imported here so only correlate runs pay scipy's ~1 s import
-
     xs = [x.values[unit] for unit in overlap]
     ys = [y.values[unit] for unit in overlap]
-    rho = _pearson(rankdata(xs).tolist(), rankdata(ys).tolist())
+    rho = _pearson(_average_ranks(xs), _average_ranks(ys))
     return rho, len(overlap)
 
 
@@ -96,11 +124,51 @@ def p_two_tailed(rho: float, n: int) -> float:
         raise ValidationError("rho must lie in [-1, 1]")
     if abs(rho) == 1.0:
         return 0.0
-    from scipy.stats import t as _student_t  # imported here, as in spearman_rho
-
-    t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(_student_t.sf(abs(t_stat), n - 2))
+    df = n - 2
+    t_stat = rho * math.sqrt(df / (1.0 - rho * rho))
+    t_sq = t_stat * t_stat
+    # y is computed as itself, never as 1 - x: for small t, y lies far below
+    # the spacing of floats near 1, and 1 - p grows like sqrt(y).
+    x, y = df / (df + t_sq), t_sq / (df + t_sq)
+    if y == 0.0:
+        return 1.0
+    a, b = df / 2, 0.5
+    if x > (a + 1) / (a + b + 2):  # the fraction converges fast only below this point
+        p = 1.0 - _regularized_beta(b, a, y, x)
+    else:
+        p = _regularized_beta(a, b, x, y)
     return min(1.0, max(0.0, p))
+
+
+def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b), where x + y = 1, by its continued fraction (modified Lentz method).
+
+    Both x and y are passed, so that neither is a cancelled difference.
+    """
+
+    def nonzero(v: float) -> float:
+        return v if abs(v) >= _BETA_CF_TINY else _BETA_CF_TINY
+
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1))
+    h = d
+    for m in range(1, _BETA_CF_MAX_TERMS + 1):
+        even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        for term in (even, odd):
+            d = 1.0 / nonzero(1.0 + term * d)
+            c = nonzero(1.0 + term / c)
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) <= sys.float_info.epsilon:
+            log_front = (
+                math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                + a * math.log(x) + b * math.log(y)
+            )
+            return math.exp(log_front) * h / a
+    raise ComputationError(
+        f"incomplete beta I_x({a}, {b}) at x={x} did not converge in {_BETA_CF_MAX_TERMS} terms"
+    )
 
 
 def correlate(x: MetricSeries, y: MetricSeries) -> CorrelationResult:
@@ -121,12 +189,18 @@ def load_metric_series(source: Source) -> list[MetricSeries]:
     """Read long-format metric values: header ``journal_id,metric_name,value``.
 
     Returns one series per metric name, sorted by name. Duplicate
-    (journal, metric) rows and values that are not finite decimals are load errors.
+    (journal, metric) rows, values that are not finite decimals and the
+    indicator's own names ``cited_ebdi`` and ``citing_ebdi`` are load errors.
     """
     by_metric: dict[str, dict[str, float]] = {}
     for line, (journal_id, metric_name, cell) in read_csv(source, METRIC_FIELDS):
         if not journal_id or not metric_name:
             raise LoadError("journal_id and metric_name must be non-empty", path=source, line=line)
+        if metric_name in RESERVED_METRIC_NAMES:
+            raise LoadError(
+                f"metric name {metric_name!r} is reserved for the indicator's own series",
+                path=source, line=line,
+            )
         series = by_metric.setdefault(metric_name, {})
         if journal_id in series:
             raise LoadError(

@@ -90,6 +90,24 @@ def test_correlate_end_to_end(tmp_path, corpus_paths):
     assert (out / "correlations.csv").exists()
 
 
+def test_correlate_rejects_a_metric_named_like_the_indicator(tmp_path, caplog):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "unit_id,cited_ebdi,citing_ebdi\nA,1.0,2.0\nB,2.0,1.0\nC,0.5,0.7\nD,3.0,0.2\n",
+        encoding="utf-8",
+    )
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(
+        "journal_id,metric_name,value\nA,cited_ebdi,4\nB,cited_ebdi,3\nC,cited_ebdi,2\nD,cited_ebdi,1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = main(["correlate", "--scores", str(scores), "--metrics", str(metrics), "--out", str(out)])
+    assert code == 1
+    assert f"{metrics}:2: metric name 'cited_ebdi' is reserved" in caplog.text
+    assert not (out / "correlations.csv").exists()
+
+
 def test_network_end_to_end(tmp_path, corpus_paths):
     out = tmp_path / "out"
     code = main(["network", *corpus_args(corpus_paths), "--dimension", "cited",

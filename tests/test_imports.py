@@ -1,8 +1,10 @@
-"""Start-up cost guard: only ``correlate`` may load scipy.
+"""Start-up cost guard: no subcommand needs scipy or numpy.
 
-scipy.stats takes about a second to import, which would dominate every
-subcommand on a small corpus. Each case runs the CLI in a fresh interpreter,
-because this test process has long since imported scipy itself.
+scipy.stats takes about a second and 80 MB to import, which would dominate
+every subcommand on a small corpus; the rank correlation and its p-value use
+the standard library alone. Each case runs the CLI in a fresh interpreter,
+because this test process has long since imported scipy itself: the tests
+keep it as an oracle.
 """
 
 from __future__ import annotations
@@ -24,18 +26,31 @@ HEAVY_MODULES = ("scipy", "xml.sax")
 
 CHILD = """
 import json, sys
+
+class Blocker:
+    blocked = set(json.loads(sys.argv[2]))
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in self.blocked:
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, Blocker())
 import ebdi, ebdi.cli
 codes = [ebdi.cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
-def run_fresh(runs: list[list[str]]) -> dict[str, list]:
-    """Run ``ebdi.cli.main`` on each argv in one new interpreter."""
+def run_fresh(runs: list[list[str]], blocked: tuple[str, ...] = ()) -> dict[str, list]:
+    """Run ``ebdi.cli.main`` on each argv in one new interpreter.
+
+    Importing any of the ``blocked`` packages raises ``ImportError`` there.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(runs)],
+        [sys.executable, "-c", CHILD, json.dumps(runs), json.dumps(blocked)],
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
@@ -60,10 +75,24 @@ def test_only_correlate_needs_scipy(tmp_path):
     assert loaded == [], f"heavy modules loaded at start-up: {loaded[:5]}"
 
 
-def test_correlate_loads_scipy_stats(tmp_path):
-    result = run_fresh([[
-        "correlate", *CORPUS_ARGS, "--focal-sc", "LIS",
-        "--metrics", str(SAMPLE / "metrics.csv"), "--out", str(tmp_path / "out"),
-    ]])
-    assert result["codes"] == [0]
-    assert "scipy.stats" in result["modules"]
+def test_every_subcommand_runs_without_scipy_or_numpy(tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "unit_id,cited_ebdi,citing_ebdi\nJINF,10,20\nQMIS,30,5\nARIS,15,15\nISJX,12,9\n",
+        encoding="utf-8",
+    )
+    out = str(tmp_path / "out")
+    metrics = ["--metrics", str(SAMPLE / "metrics.csv")]
+    result = run_fresh([
+        ["indicators", *CORPUS_ARGS, "--out", out],
+        ["roles", *CORPUS_ARGS, "--focal-sc", "LIS", "--out", out],
+        ["roles", *CORPUS_ARGS, "--unit-type", "discipline", "--out", out],
+        ["roles", "--scores", str(scores), "--out", out],
+        ["network", *CORPUS_ARGS, "--dimension", "cited", "--top-k", "3", "--out", out],
+        ["correlate", *CORPUS_ARGS, "--focal-sc", "LIS", *metrics, "--out", out],
+        ["correlate", "--scores", str(scores), *metrics, "--out", out],
+    ], blocked=("scipy", "numpy"))
+    assert result["codes"] == [0] * 7
+    assert len((tmp_path / "out" / "correlations.csv").read_text().splitlines()) == 1 + 6
+    loaded = [m for m in result["modules"] if m.partition(".")[0] in ("scipy", "numpy")]
+    assert loaded == []

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -14,6 +15,8 @@ import scipy.stats
 from hypothesis import given, strategies as st
 
 from ebdi import (
+    ComputationError,
+    LoadError,
     MetricSeries,
     ValidationError,
     correlate,
@@ -21,11 +24,22 @@ from ebdi import (
     p_two_tailed,
     spearman_rho,
 )
+from ebdi.stats import _pearson
 from oracle import brute_rank_pearson
 
 
 def series(name, values):
     return MetricSeries(name, {f"u{i}": float(v) for i, v in enumerate(values)})
+
+
+def p_two_tailed_mpmath(rho, n):
+    """Oracle: I_x(df/2, 1/2) at 40 digits, at the same float t as p_two_tailed."""
+    df = n - 2
+    t_stat = rho * math.sqrt(df / (1.0 - rho * rho))
+    with mpmath.workdps(40):
+        t_sq = mpmath.mpf(t_stat) ** 2
+        return mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, df / (df + t_sq),
+                              regularized=True)
 
 
 def p_two_tailed_quadrature(rho, n):
@@ -141,6 +155,26 @@ class TestPTwoTailed:
         with pytest.raises(ValidationError):
             p_two_tailed(0.5, 2)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 100, 1000, 10000, 20000])
+    def test_matches_mpmath_at_40_digits(self, n):
+        # scipy is no reference here: on this grid t.sf is off by 6.4e-10 and
+        # betainc given only x by 1.1e-7; p near 1 needs y = t^2 / (df + t^2),
+        # not 1 - x
+        for magnitude in [1e-9, 1e-5, 0.01, 0.1, 0.5, 0.9, 0.999]:
+            for rho in (magnitude, -magnitude):
+                p = p_two_tailed(rho, n)
+                exact = p_two_tailed_mpmath(rho, n)
+                with mpmath.workdps(40):
+                    error = abs(p - exact)
+                    assert error <= 1e-10, (rho, n, p)
+                    if exact >= 1e-300:
+                        assert error <= 1e-9 * exact, (rho, n, p)
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr("ebdi.stats._BETA_CF_MAX_TERMS", 3)
+        with pytest.raises(ComputationError, match="did not converge"):
+            p_two_tailed(0.5, 20000)
+
     @pytest.mark.parametrize("n", [7, 8])
     def test_close_to_exact_permutation_p(self, n):
         # exhaustive over every achievable |rho| <= 0.8 for tie-free data
@@ -192,6 +226,14 @@ class TestLoadMetricSeries:
         with pytest.raises(ValidationError, match="invalid value"):
             load_metric_series(io.StringIO(text))
 
+    @pytest.mark.parametrize("name", ["cited_ebdi", "citing_ebdi"])
+    def test_indicator_names_are_reserved(self, tmp_path, name):
+        # correlate adds the indicator's own series under these names
+        path = tmp_path / "metrics.csv"
+        path.write_text(f"journal_id,metric_name,value\nJ1,impact,2.5\nJ1,{name},0.9\n")
+        with pytest.raises(LoadError, match=rf"metrics\.csv:3: metric name '{name}' is reserved"):
+            load_metric_series(path)
+
 
 # -- invariants ----------------------------------------------------------------
 
@@ -204,6 +246,25 @@ paired_values = st.lists(
     min_size=3,
     max_size=25,
 )
+
+
+tied_values = st.lists(
+    st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]), min_size=3, max_size=30
+)
+
+
+@given(xs=tied_values, ys=tied_values)
+def test_rho_is_pearson_of_rankdata_bit_for_bit(xs, ys):
+    n = min(len(xs), len(ys))
+    x, y = series("x", xs[:n]), series("y", ys[:n])
+    if len(set(x.values.values())) < 2 or len(set(y.values.values())) < 2:
+        return
+    in_order = sorted(x.values)  # spearman_rho joins on sorted unit ids
+    expected = _pearson(
+        scipy.stats.rankdata([x.values[u] for u in in_order]).tolist(),
+        scipy.stats.rankdata([y.values[u] for u in in_order]).tolist(),
+    )
+    assert spearman_rho(x, y)[0] == expected
 
 
 @given(pairs=paired_values)
