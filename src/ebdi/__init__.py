@@ -7,7 +7,6 @@ and quadrant plots from CSV citation corpora.
 """
 
 from .corpus import (
-    CitationEdge,
     Corpus,
     CountingMode,
     Dimension,
@@ -29,10 +28,10 @@ from .metrics import (
     CitationProfile,
     DistributionStats,
     EbdiScore,
+    aggregate_sc_network,
     build_profile,
     compute_ebdi,
     compute_journal_indicators,
-    distribution_stats,
     ebdi_value,
     pct_of_max_entropy,
     raw_diversity,
@@ -40,7 +39,6 @@ from .metrics import (
 )
 from .report import (
     RunConfig,
-    aggregate_sc_network,
     export_sc_network,
     run_correlations,
     run_indicators,
@@ -71,7 +69,6 @@ from .taxonomy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CitationEdge",
     "CitationProfile",
     "ComputationError",
     "CorrelationResult",
@@ -103,7 +100,6 @@ __all__ = [
     "compute_ebdi",
     "compute_journal_indicators",
     "correlate",
-    "distribution_stats",
     "ebdi_value",
     "export_sc_network",
     "is_internal",

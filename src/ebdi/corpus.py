@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple
+from typing import IO, Iterator
 
 from .errors import LoadError, ValidationError
 
@@ -97,19 +97,6 @@ class Journal:
             raise ValidationError(f"journal without SC: {self.journal_id!r}")
 
 
-class CitationEdge(NamedTuple):
-    """Citation volume between a focal journal and one partner, one dimension.
-
-    ``count`` is the aggregated all-years citation count. Edges are a view of
-    :attr:`Corpus.citations`, built only when :attr:`Corpus.edges` is read.
-    """
-
-    focal_journal: str
-    partner_journal: str
-    dimension: Dimension
-    count: int
-
-
 @dataclass(frozen=True)
 class Corpus:
     """Immutable registry of SCs, journals, and citation counts.
@@ -155,15 +142,6 @@ class Corpus:
     # -- read-only conveniences -------------------------------------------------
 
     @property
-    def edges(self) -> tuple[CitationEdge, ...]:
-        """Every merged edge, sorted by (focal, partner, dimension); built on each read."""
-        return tuple(sorted(
-            CitationEdge(focal, partner, dimension, count)
-            for (focal, dimension), partners in self.citations.items()
-            for partner, count in partners.items()
-        ))
-
-    @property
     def edge_count(self) -> int:
         return sum(map(len, self.citations.values()))
 
@@ -182,6 +160,15 @@ class Corpus:
             for sc_id in self.journals[journal_id].sc_memberships:
                 index.setdefault(sc_id, []).append(journal_id)
         return {sc_id: tuple(ids) for sc_id, ids in index.items()}
+
+    @cached_property
+    def membership_lcm(self) -> int:
+        """L, the lcm of the journals' membership counts (1 without journals).
+
+        Every journal's count k divides L, so a fractional share count/k is
+        the integer count * (L // k) in units of 1/L.
+        """
+        return math.lcm(*{len(journal.sc_memberships) for journal in self.journals.values()})
 
     def journals_in(self, sc_id: str) -> tuple[str, ...]:
         """Journal ids classified in ``sc_id``, sorted for determinism."""

@@ -21,6 +21,11 @@ as 0: zero-count categories are simply absent from the distribution.
 
 Percentages in both numerator and denominator make every quantity here
 invariant under rescaling all counts by a common positive factor.
+
+This module is the one place where citations are attributed to the partner
+journals' SCs: :func:`build_profile` for one unit and
+:func:`aggregate_sc_network` for the SC-to-SC network. Both sum integer
+shares and divide once, so fractional values are exact up to one rounding.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ class CitationProfile:
     a partner classified in k external SCs contributes its full count to each
     of the k SCs, so the values may sum to more than ``external_total``;
     under FRACTIONAL counting each SC receives count/k and the values sum to
-    ``external_total`` exactly.
+    ``external_total`` up to rounding. Each value is the exact sum of its
+    shares, correctly rounded once.
     """
 
     unit_id: str
@@ -201,7 +207,8 @@ def build_profile(
     Internal edges add their count to ``internal_count``. External edges add
     their count once to ``external_total`` and distribute it over the
     partner's SCs according to ``counting_mode``. SCs that would receive a
-    zero count never appear in the map.
+    zero count never appear in the map. Shares are summed as integers in units
+    of 1/L (L is :attr:`Corpus.membership_lcm`) and divided once at the end.
     """
     if focal_sc not in corpus.sc_registry:
         raise ValidationError(f"unknown sc_id {focal_sc!r}")
@@ -223,9 +230,11 @@ def build_profile(
     else:
         raise ValidationError(f"unknown unit {unit_id!r}")
 
-    internal = 0.0
-    external_total = 0.0
-    external: dict[str, float] = {}
+    fractional = counting_mode is CountingMode.FRACTIONAL
+    scale = corpus.membership_lcm if fractional else 1
+    internal = 0
+    external_total = 0
+    external: dict[str, int] = {}
     journals = corpus.journals
     for member in member_journals:
         for partner, count in corpus.citations.get((member, dimension), {}).items():
@@ -237,34 +246,56 @@ def build_profile(
                 internal += count
                 continue
             external_total += count
-            if counting_mode is CountingMode.WHOLE:
-                share = float(count)
-            else:
-                share = count / len(partner_scs)
+            share = count * (scale // len(partner_scs)) if fractional else count
             for sc_id in partner_scs:
-                external[sc_id] = external.get(sc_id, 0.0) + share
+                external[sc_id] = external.get(sc_id, 0) + share
 
     return CitationProfile(
         unit_id=unit_id,
         focal_sc=focal_sc,
         dimension=dimension,
         counting_mode=counting_mode,
-        internal_count=internal,
-        external_counts=dict(sorted(external.items())),
-        external_total=external_total,
+        internal_count=float(internal),
+        external_counts={sc_id: value / scale for sc_id, value in sorted(external.items())},
+        external_total=float(external_total),
     )
 
 
-def distribution_stats(external_counts: Mapping[str, float], n_categories: int) -> DistributionStats:
-    """Entropy, maximum entropy, percentage of maximum, and raw diversity."""
-    entropy = shannon_entropy(external_counts)
-    pct_hmax = pct_of_max_entropy(entropy, n_categories)  # validates n_categories >= 2
-    return DistributionStats(
-        entropy=entropy,
-        hmax=math.log(n_categories),
-        pct_hmax=pct_hmax,
-        raw_diversity=sum(1 for v in external_counts.values() if v != 0),
-    )
+def aggregate_sc_network(
+    corpus: Corpus,
+    dimension: Dimension,
+    counting_mode: CountingMode = CountingMode.WHOLE,
+) -> dict[tuple[str, str], float]:
+    """SC-to-SC citation weights for one dimension.
+
+    Every journal edge fans out over the focal journal's SCs (sources) and the
+    partner's SCs (targets): the full count per pair under WHOLE counting, or
+    count / (#focal SCs * #partner SCs) under FRACTIONAL, which preserves the
+    total volume. Shares are summed as integers in units of 1/L**2 (L is
+    :attr:`Corpus.membership_lcm`), so each weight is the exact sum, correctly
+    rounded once.
+    """
+    fractional = counting_mode is CountingMode.FRACTIONAL
+    scale = corpus.membership_lcm if fractional else 1
+    journals = corpus.journals
+    weights: dict[tuple[str, str], float] = {}
+    for (focal, focal_dimension), partners in corpus.citations.items():
+        if focal_dimension is not dimension:
+            continue
+        focal_scs = journals[focal].sc_memberships
+        focal_share = scale // len(focal_scs) if fractional else 1
+        for partner, count in partners.items():
+            if count == 0:
+                continue
+            partner_scs = journals[partner].sc_memberships
+            share = count * focal_share * (scale // len(partner_scs) if fractional else 1)
+            for source in focal_scs:
+                for target in partner_scs:
+                    weights[(source, target)] = weights.get((source, target), 0) + share
+    denominator = scale * scale
+    for pair, weight in weights.items():
+        weights[pair] = weight / denominator
+    return weights
 
 
 def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
@@ -278,15 +309,22 @@ def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
             f"no citations in dimension {profile.dimension.value} for unit "
             f"{profile.unit_id!r} (focal SC {profile.focal_sc!r})"
         )
-    stats = distribution_stats(profile.external_counts, n_categories)
+    entropy = shannon_entropy(profile.external_counts)
+    pct_hmax = pct_of_max_entropy(entropy, n_categories)  # validates n_categories >= 2
+    stats = DistributionStats(
+        entropy=entropy,
+        hmax=math.log(n_categories),
+        pct_hmax=pct_hmax,
+        raw_diversity=raw_diversity(profile),
+    )
     pct_internal = 100.0 * (profile.internal_count / profile.total)
     return EbdiScore(
         unit_id=profile.unit_id,
         focal_sc=profile.focal_sc,
         dimension=profile.dimension,
         pct_internal=pct_internal,
-        pct_hmax=stats.pct_hmax,
-        ebdi=ebdi_value(pct_internal, stats.pct_hmax),
+        pct_hmax=pct_hmax,
+        ebdi=ebdi_value(pct_internal, pct_hmax),
         stats=stats,
     )
 

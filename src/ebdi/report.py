@@ -17,13 +17,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, CountingMode, Dimension, Source, load_corpus, parse_float, read_csv
 from .errors import LoadError, NoCitationsError, ValidationError
-from .metrics import build_profile, compute_ebdi, compute_journal_indicators
+from .metrics import aggregate_sc_network, build_profile, compute_ebdi, compute_journal_indicators
 from .stats import MetricSeries, correlate, load_metric_series
 from .svg import scatter_svg
 from .taxonomy import build_journal_roles, classify_discipline, median_threshold
@@ -394,35 +395,6 @@ def run_correlations(config: RunConfig) -> list[dict[str, object]]:
     return rows
 
 
-def aggregate_sc_network(
-    corpus: Corpus,
-    dimension: Dimension,
-    counting_mode: CountingMode = CountingMode.WHOLE,
-) -> dict[tuple[str, str], float]:
-    """SC-to-SC citation weights for one dimension.
-
-    Every journal edge fans out over the focal journal's SCs (sources) and the
-    partner's SCs (targets): the full count per pair under WHOLE counting, or
-    count / (#focal SCs * #partner SCs) under FRACTIONAL, which preserves the
-    total volume.
-    """
-    weights: dict[tuple[str, str], float] = {}
-    for focal in sorted(corpus.journals):  # sorted focal, then sorted partner: fixed float sums
-        focal_scs = sorted(corpus.journals[focal].sc_memberships)
-        for partner, count in corpus.citations.get((focal, dimension), {}).items():
-            if count == 0:
-                continue
-            partner_scs = sorted(corpus.journals[partner].sc_memberships)
-            if counting_mode is CountingMode.WHOLE:
-                share = float(count)
-            else:
-                share = count / (len(focal_scs) * len(partner_scs))
-            for source in focal_scs:
-                for target in partner_scs:
-                    weights[(source, target)] = weights.get((source, target), 0.0) + share
-    return weights
-
-
 def export_sc_network(config: RunConfig) -> list[dict[str, object]]:
     """Edge list of the SC-level citation network, trimmed to the top-k SCs.
 
@@ -437,11 +409,14 @@ def export_sc_network(config: RunConfig) -> list[dict[str, object]]:
     corpus = _load_corpus(config)
     weights = aggregate_sc_network(corpus, config.dimension, config.counting)
 
-    volume: dict[str, float] = {}
+    incident: dict[str, list[float]] = {}
     for (source, target), weight in weights.items():
-        volume[source] = volume.get(source, 0.0) + weight
+        incident.setdefault(source, []).append(weight)
         if target != source:
-            volume[target] = volume.get(target, 0.0) + weight
+            incident.setdefault(target, []).append(weight)
+    # fsum is exact, so the ranking does not depend on the order of the weights
+    volume = {sc: math.fsum(sc_weights) for sc, sc_weights in incident.items()}
+    del incident  # freed before the rows are built, so the two never add up in the peak
     ranked = sorted(volume, key=lambda sc: (-volume[sc], sc))
     if config.top_k > len(ranked):
         log.warning(

@@ -1,8 +1,9 @@
 """The citation store: per-(journal, dimension) partner -> count maps.
 
 Loading must not depend on row order or on how rows are split over files,
-must leave the input corpus untouched, must not build per-edge objects for
-the readers, and must stay small per merged edge.
+must leave the input corpus untouched, and must stay small per merged edge.
+Profiles and the SC network read the maps and sum exactly: every value is
+the correctly rounded exact sum of its shares.
 """
 
 from __future__ import annotations
@@ -12,16 +13,15 @@ import gc
 import io
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-import ebdi.corpus
 from ebdi import (
     CountingMode,
     Dimension,
     aggregate_sc_network,
     build_profile,
-    compute_journal_indicators,
     load_classification,
     load_edges,
 )
@@ -98,10 +98,16 @@ def test_shuffled_citation_file_gives_identical_artifacts(tmp_path):
     sc_rows, journal_rows, rows = random_inputs(rng, n_scs=5, n_journals=30, n_rows=400)
     shuffled_rows = rows[:]
     rng.shuffle(shuffled_rows)
+    shuffled_journals = journal_rows[:]
+    rng.shuffle(shuffled_journals)
     artifacts = []
-    for name, citation_rows in (("ordered", rows), ("shuffled", shuffled_rows)):
+    for name, journal_file_rows, citation_rows in (
+        ("ordered", journal_rows, rows),
+        ("shuffled", journal_rows, shuffled_rows),
+        ("shuffled_journals", shuffled_journals, rows),
+    ):
         (tmp_path / name).mkdir()
-        paths = write_corpus_files(tmp_path / name, sc_rows, journal_rows, citation_rows)
+        paths = write_corpus_files(tmp_path / name, sc_rows, journal_file_rows, citation_rows)
         inputs = [arg for flag in ("classification", "journals", "citations")
                   for arg in (f"--{flag}", str(paths[flag]))]
         out = tmp_path / name / "out"
@@ -109,7 +115,40 @@ def test_shuffled_citation_file_gives_identical_artifacts(tmp_path):
         assert main(["indicators", *common]) == 0
         assert main(["network", *common, "--dimension", "cited", "--top-k", "3"]) == 0
         artifacts.append([(out / f).read_bytes() for f in ("indicators.csv", "sc_network.csv")])
-    assert artifacts[0] == artifacts[1]
+    assert artifacts[0] == artifacts[1] == artifacts[2]
+
+
+@pytest.mark.parametrize("mode", CountingMode)
+@pytest.mark.parametrize("seed", range(3))
+def test_values_are_the_correctly_rounded_exact_sums(seed, mode):
+    rng = random.Random(100 + seed)
+    sc_rows, journal_rows, rows = random_inputs(rng, n_scs=6, n_journals=40, n_rows=600)
+    corpus = load_edges(classification(sc_rows, journal_rows), citations(rows))
+    memberships = {journal: scs.split(";") for journal, _, scs in journal_rows}
+
+    def weight(scs) -> Fraction:
+        return Fraction(1, len(scs)) if mode is CountingMode.FRACTIONAL else Fraction(1)
+
+    for (unit, focal_sc, dimension), profile in all_profiles(corpus, mode).items():
+        exact: dict[str, Fraction] = {}
+        for focal, partner, dimension_cell, count in rows:
+            in_unit = focal == unit or (unit == focal_sc and focal_sc in memberships[focal])
+            partner_scs = memberships[partner]
+            if in_unit and dimension_cell.upper() == dimension.value and focal_sc not in partner_scs:
+                for sc in partner_scs:
+                    exact[sc] = exact.get(sc, 0) + count * weight(partner_scs)
+        assert profile.external_counts == {sc: float(value) for sc, value in exact.items() if value}
+
+    for dimension, network in networks(corpus, mode).items():
+        exact_network: dict[tuple[str, str], Fraction] = {}
+        for focal, partner, dimension_cell, count in rows:
+            if dimension_cell.upper() != dimension.value:
+                continue
+            share = count * weight(memberships[focal]) * weight(memberships[partner])
+            for source in memberships[focal]:
+                for target in memberships[partner]:
+                    exact_network[(source, target)] = exact_network.get((source, target), 0) + share
+        assert network == {pair: float(value) for pair, value in exact_network.items() if value}
 
 
 def test_second_load_leaves_the_input_corpus_unchanged():
@@ -126,36 +165,17 @@ def test_second_load_leaves_the_input_corpus_unchanged():
     assert all_profiles(corpus) == before_profiles
 
 
-def test_readers_never_build_edge_objects(monkeypatch):
-    rng = random.Random(5)
-    sc_rows, journal_rows, rows = random_inputs(rng, n_scs=5, n_journals=30, n_rows=300)
-    corpus = load_edges(classification(sc_rows, journal_rows), citations(rows))
-
-    def no_edges(*args):
-        raise AssertionError("a CitationEdge was built")
-
-    monkeypatch.setattr(ebdi.corpus, "CitationEdge", no_edges)
-    with pytest.raises(AssertionError, match="CitationEdge"):
-        corpus.edges  # the patch is the one the view uses
-    for mode in CountingMode:
-        all_profiles(corpus, mode)
-        networks(corpus, mode)
-        for journal_id, journal in corpus.journals.items():
-            for sc in journal.sc_memberships:
-                compute_journal_indicators(corpus, journal_id, sc, mode)
-
-
-def test_edges_view_lists_every_merged_count():
+def test_citations_hold_every_merged_count():
     corpus = load_edges(
         classification([("A", "A", "")], [("J1", "One", "A"), ("J2", "Two", "A")]),
         citations([("J2", "J1", "CITED", 2), ("J1", "J2", "CITING", 0), ("J1", "J2", "CITED", 1),
                    ("J2", "J1", "CITED", 3)]),
     )
-    assert [tuple(edge) for edge in corpus.edges] == [
-        ("J1", "J2", Dimension.CITED, 1),
-        ("J1", "J2", Dimension.CITING, 0),
-        ("J2", "J1", Dimension.CITED, 5),
-    ]
+    assert corpus.citations == {
+        ("J1", Dimension.CITED): {"J2": 1},
+        ("J1", Dimension.CITING): {"J2": 0},
+        ("J2", Dimension.CITED): {"J1": 5},
+    }
     assert corpus.edge_count == 3
     assert corpus.total_citations() == 6
     assert corpus.total_citations(Dimension.CITING) == 0

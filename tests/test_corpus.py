@@ -170,8 +170,7 @@ class TestLoadEdges:
             journal_rows=[("J1", "One", "A"), ("J2", "Two", "A")],
             citation_rows=[("J1", "J2", "CITED", 3), ("J1", "J2", "CITED", 4)],
         )
-        assert len(corpus.edges) == 1
-        assert corpus.edges[0].count == 7
+        assert corpus.citations == {("J1", Dimension.CITED): {"J2": 7}}
 
     def test_negative_count(self):
         with pytest.raises(LoadError, match="negative citation count"):
@@ -187,7 +186,7 @@ class TestLoadEdges:
             journal_rows=[("J1", "One", "A")],
             citation_rows=[],
         )
-        assert corpus.edges == ()
+        assert corpus.citations == {}
         assert corpus.total_citations() == 0
 
     def test_unknown_journal_endpoint(self):
@@ -224,7 +223,7 @@ class TestLoadEdges:
             journal_rows=[("J1", "One", "A"), ("J2", "Two", "A")],
             citation_rows=[("J1", "J2", "cited", 2), ("J2", "J1", "Citing", 1)],
         )
-        assert {edge.dimension for edge in corpus.edges} == {Dimension.CITED, Dimension.CITING}
+        assert corpus.citations == {("J1", Dimension.CITED): {"J2": 2}, ("J2", Dimension.CITING): {"J1": 1}}
 
     def test_non_integer_count(self):
         with pytest.raises(LoadError, match="invalid count"):
@@ -246,8 +245,7 @@ class TestLoadEdges:
             "focal_journal_id,partner_journal_id,dimension,count\nJ1,J2,CITED,4\n"
         )
         merged = load_edges(corpus, second)
-        assert len(merged.edges) == 1
-        assert merged.edges[0].count == 7
+        assert merged.citations == {("J1", Dimension.CITED): {"J2": 7}}
 
     def test_row_order_independent(self):
         rows = [
@@ -267,8 +265,9 @@ class TestLoadEdges:
                 citation_rows=shuffled,
             )
             if reference is None:
-                reference = corpus.edges
-            assert corpus.edges == reference
+                reference = corpus.citations
+            assert corpus.citations == reference
+            assert all(list(partners) == sorted(partners) for partners in corpus.citations.values())
 
 
 class TestCorpusIntegrity:

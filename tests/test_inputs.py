@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ebdi import LoadError, load_corpus, load_metric_series
+from ebdi import Dimension, LoadError, load_corpus, load_metric_series
 from ebdi.cli import main
 from conftest import make_corpus
 
@@ -157,7 +157,7 @@ def test_count_accepted(count, expected):
         journal_rows=[("J1", "One", "A"), ("J2", "Two", "A")],
         citation_rows=[("J1", "J2", "CITED", count)],
     )
-    assert [edge.count for edge in corpus.edges] == [expected]
+    assert corpus.citations == {("J1", Dimension.CITED): {"J2": expected}}
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -112,6 +113,16 @@ class TestBuildProfile:
         with pytest.raises(ValidationError, match="profiled against itself"):
             build_profile(small_corpus, "F", "A", Dimension.CITED)
 
+    def test_fractional_count_is_the_correctly_rounded_exact_sum(self):
+        # 2/3 from J1 plus 1 from J2: the float sum 2/3 + 1 rounds to 1.6666666666666665
+        corpus = make_corpus(
+            sc_rows=[(sc, sc, "") for sc in "ACDE"],
+            journal_rows=[("J0", "J0", "A;C"), ("J1", "J1", "C;D;E"), ("J2", "J2", "C")],
+            citation_rows=[("J0", "J1", "CITING", 2), ("J0", "J2", "CITING", 1)],
+        )
+        profile = build_profile(corpus, "J0", "A", Dimension.CITING, CountingMode.FRACTIONAL)
+        assert profile.external_counts["C"] == float(Fraction(5, 3)) == 1.6666666666666667
+
     def test_zero_count_edges_ignored(self):
         corpus = make_corpus(
             sc_rows=[("F", "F", ""), ("A", "A", "")],
@@ -184,6 +195,16 @@ class TestComputeEbdi:
         )
         with pytest.raises(NoCitationsError, match="no citations in dimension"):
             compute_ebdi(profile, 10)
+
+    @pytest.mark.parametrize("n_categories", [0, 1])
+    def test_fewer_than_two_categories_rejected(self, n_categories):
+        profile = CitationProfile(
+            unit_id="U", focal_sc="F", dimension=Dimension.CITED,
+            counting_mode=CountingMode.WHOLE, internal_count=1.0,
+            external_counts={"A": 1.0}, external_total=1.0,
+        )
+        with pytest.raises(ValidationError, match="n_categories must be >= 2"):
+            compute_ebdi(profile, n_categories)
 
     def test_out_of_range_percentages_rejected(self):
         with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ import json
 import logging
 import random
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -444,6 +445,34 @@ class TestExportScNetwork:
         got = {(r["source_sc"], r["target_sc"]): r["weight"] for r in rows}
         for key, weight in expected.items():
             assert got[key] == pytest.approx(weight, abs=1e-12)
+
+    def test_fractional_weights_are_exact_and_ties_ordered_by_name(self, tmp_path):
+        memberships = {"J0": ("A", "B", "C"), "J1": ("A", "D")}
+        citation_rows = [("J0", "J0", "CITED", 3), ("J1", "J0", "CITED", 5), ("J0", "J1", "CITED", 3)]
+        paths = write_corpus_files(
+            tmp_path, [(sc, sc, "") for sc in "ABCD"],
+            [(j, j, ";".join(scs)) for j, scs in memberships.items()], citation_rows,
+        )
+        exact: dict[tuple[str, str], Fraction] = {}
+        for focal, partner, _, count in citation_rows:
+            share = Fraction(count, len(memberships[focal]) * len(memberships[partner]))
+            for source in memberships[focal]:
+                for target in memberships[partner]:
+                    exact[(source, target)] = exact.get((source, target), 0) + share
+        config = RunConfig(
+            **paths, dimension=Dimension.CITED, top_k=4,
+            counting=CountingMode.FRACTIONAL, out_dir=tmp_path / "out",
+        )
+        export_sc_network(config)
+        got = [(r["source_sc"], r["target_sc"], float(r["weight"]))
+               for r in read_csv(tmp_path / "out" / "sc_network.csv")]
+        ranked = sorted(exact.items(), key=lambda item: (-item[1], item[0]))
+        assert got == [(source, target, float(weight)) for (source, target), weight in ranked]
+        assert got[0] == ("A", "A", 1.6666666666666667)
+        # the five weights of exactly 5/6, ordered by source then target
+        assert [(s, t) for s, t, w in got if w == float(Fraction(5, 6))] == [
+            ("B", "A"), ("C", "A"), ("D", "A"), ("D", "B"), ("D", "C"),
+        ]
 
     def test_rows_sorted_by_weight_descending(self, tmp_path):
         paths, _ = self._corpus_paths(tmp_path)
