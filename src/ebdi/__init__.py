@@ -26,7 +26,6 @@ from .errors import (
 )
 from .metrics import (
     CitationProfile,
-    DistributionStats,
     EbdiScore,
     aggregate_sc_network,
     build_profile,
@@ -53,11 +52,9 @@ from .stats import (
     spearman_rho,
 )
 from .taxonomy import (
-    DisciplineType,
     JournalRole,
     JournalRoleLabel,
     Level,
-    LevelAssignment,
     TradeDirection,
     assign_levels,
     build_journal_roles,
@@ -75,15 +72,12 @@ __all__ = [
     "Corpus",
     "CountingMode",
     "Dimension",
-    "DisciplineType",
-    "DistributionStats",
     "EbdiError",
     "EbdiScore",
     "Journal",
     "JournalRole",
     "JournalRoleLabel",
     "Level",
-    "LevelAssignment",
     "LoadError",
     "MetricSeries",
     "NoCitationsError",

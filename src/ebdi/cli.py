@@ -38,7 +38,7 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     parser.add_argument("--decimals", type=int, default=2,
-                        help="decimal places for rounded CSV reports")
+                        help="decimal places for rounded CSV reports (0-20)")
 
 
 def build_parser() -> argparse.ArgumentParser:

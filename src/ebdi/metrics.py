@@ -102,12 +102,17 @@ class CitationProfile:
 
 
 @dataclass(frozen=True)
-class DistributionStats:
-    """Entropy summary of one external-citation distribution."""
+class EbdiScore:
+    """The indicator value for one (unit, focal SC, dimension), with its entropy summary."""
 
+    unit_id: str
+    focal_sc: str
+    dimension: Dimension
+    pct_internal: float
     entropy: float        # H, in nats
     hmax: float           # ln(n_categories), in nats
     pct_hmax: float       # 100 * H / Hmax
+    ebdi: float
     raw_diversity: int    # distinct SCs with nonzero external count
 
     def __post_init__(self) -> None:
@@ -120,21 +125,6 @@ class DistributionStats:
             raise ComputationError("entropy outside [0, ln(raw_diversity)]")
         if not -_CHECK_TOL <= self.pct_hmax <= 100 + _CHECK_TOL:
             raise ComputationError("pct_hmax outside [0, 100]")
-
-
-@dataclass(frozen=True)
-class EbdiScore:
-    """The indicator value for one (unit, focal SC, dimension), with provenance."""
-
-    unit_id: str
-    focal_sc: str
-    dimension: Dimension
-    pct_internal: float
-    pct_hmax: float
-    ebdi: float
-    stats: DistributionStats
-
-    def __post_init__(self) -> None:
         if not -_CHECK_TOL <= self.pct_internal <= 100 + _CHECK_TOL:
             raise ComputationError("pct_internal outside [0, 100]")
         if abs(self.ebdi - self.pct_internal / (self.pct_hmax + 1.0)) > _CHECK_TOL:
@@ -311,21 +301,17 @@ def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
         )
     entropy = shannon_entropy(profile.external_counts)
     pct_hmax = pct_of_max_entropy(entropy, n_categories)  # validates n_categories >= 2
-    stats = DistributionStats(
-        entropy=entropy,
-        hmax=math.log(n_categories),
-        pct_hmax=pct_hmax,
-        raw_diversity=raw_diversity(profile),
-    )
     pct_internal = 100.0 * (profile.internal_count / profile.total)
     return EbdiScore(
         unit_id=profile.unit_id,
         focal_sc=profile.focal_sc,
         dimension=profile.dimension,
         pct_internal=pct_internal,
+        entropy=entropy,
+        hmax=math.log(n_categories),
         pct_hmax=pct_hmax,
         ebdi=ebdi_value(pct_internal, pct_hmax),
-        stats=stats,
+        raw_diversity=raw_diversity(profile),
     )
 
 

@@ -74,8 +74,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.fmt not in ("csv", "json"):
             raise ValidationError(f"unknown output format {self.fmt!r}")
-        if self.decimals < 0:
-            raise ValidationError("decimals must be >= 0")
+        if not 0 <= self.decimals <= 20:  # a double has 17 significant digits; JSON keeps all
+            raise ValidationError("decimals must lie in [0, 20]")
         if self.n_categories is not None and self.n_categories < 2:
             raise ValidationError("n_categories override must be >= 2")
         if self.unit_type not in ("journal", "discipline"):
@@ -248,11 +248,11 @@ def run_indicators(config: RunConfig) -> list[dict[str, object]]:
                 row.update(
                     pct_internal=score.pct_internal,
                     sum_external=profile.external_total,
-                    H=score.stats.entropy,
-                    Hmax=score.stats.hmax,
+                    H=score.entropy,
+                    Hmax=score.hmax,
                     pct_hmax=score.pct_hmax,
                     ebdi=score.ebdi,
-                    raw_diversity=score.stats.raw_diversity,
+                    raw_diversity=score.raw_diversity,
                 )
             except NoCitationsError:
                 missing += 1
@@ -320,13 +320,13 @@ def run_roles(config: RunConfig) -> dict[str, object]:
             Dimension.CITING: median_threshold([c for _, _, c in pairs if c is not None]),
         }
         for unit, cited, citing in pairs:
-            typed = classify_discipline(cited, citing, sc_id=unit)
+            difference, direction = classify_discipline(cited, citing) or (None, None)
             rows.append({
                 "unit_id": unit,
                 "cited_ebdi": cited,
                 "citing_ebdi": citing,
-                "difference": typed.difference if typed else None,
-                "type": typed.type.value if typed else UNCLASSIFIED,
+                "difference": difference,
+                "type": direction.value if direction else UNCLASSIFIED,
             })
         columns = ROLES_DISCIPLINE_COLUMNS
         quadrants = None

@@ -22,10 +22,10 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Dimension
-from .errors import ComputationError, ValidationError
+from .errors import ValidationError
 
 
 class Level(str, Enum):
@@ -47,46 +47,11 @@ class TradeDirection(str, Enum):
 
 
 @dataclass(frozen=True)
-class LevelAssignment:
-    unit_id: str
-    dimension: Dimension
-    ebdi_value: float
-    level: Level
-    threshold_used: float
-
-    def __post_init__(self) -> None:
-        expected = Level.HIGH if self.ebdi_value >= self.threshold_used else Level.LOW
-        if self.level is not expected:
-            raise ComputationError("level disagrees with the value/threshold comparison")
-
-
-@dataclass(frozen=True)
 class JournalRole:
     unit_id: str
     cited_level: Level | None
     citing_level: Level | None
     role: JournalRoleLabel | None  # None when either level is missing
-
-
-@dataclass(frozen=True)
-class DisciplineType:
-    sc_id: str
-    cited_ebdi: float
-    citing_ebdi: float
-    difference: float  # cited - citing
-    type: TradeDirection
-
-    def __post_init__(self) -> None:
-        if abs(self.difference - (self.cited_ebdi - self.citing_ebdi)) > 1e-12:
-            raise ComputationError("stored difference disagrees with cited - citing")
-        if self.difference > 0:
-            expected = TradeDirection.IMPORTER
-        elif self.difference < 0:
-            expected = TradeDirection.EXPORTER
-        else:
-            expected = TradeDirection.BALANCED
-        if self.type is not expected:
-            raise ComputationError("trade direction disagrees with the difference sign")
 
 
 def median_threshold(values: Sequence[float]) -> float:
@@ -99,29 +64,19 @@ def median_threshold(values: Sequence[float]) -> float:
     return float(statistics.median(values))
 
 
-def assign_levels(
-    scores: Iterable[tuple[str, float]],
-    dimension: Dimension,
-) -> list[LevelAssignment]:
-    """HIGH/LOW assignment for every scored unit of one dimension.
+def assign_levels(scores: Mapping[str, float]) -> tuple[dict[str, Level], float]:
+    """HIGH/LOW level of every scored unit of one dimension, and the threshold.
 
-    The threshold is the median of the given values and is recorded in each
-    assignment. HIGH means value >= threshold.
+    The threshold is the median of the given values. HIGH means value >= threshold.
     """
-    items = list(scores)
-    if len(items) < 2:
+    if len(scores) < 2:
         raise ValidationError("fewer than 2 scored units; a threshold needs at least 2")
-    threshold = median_threshold([value for _, value in items])
-    return [
-        LevelAssignment(
-            unit_id=unit_id,
-            dimension=dimension,
-            ebdi_value=value,
-            level=Level.HIGH if value >= threshold else Level.LOW,
-            threshold_used=threshold,
-        )
-        for unit_id, value in items
-    ]
+    threshold = median_threshold(list(scores.values()))
+    levels = {
+        unit_id: Level.HIGH if value >= threshold else Level.LOW
+        for unit_id, value in scores.items()
+    }
+    return levels, threshold
 
 
 def classify_journal(cited_level: Level | None, citing_level: Level | None) -> JournalRoleLabel | None:
@@ -136,30 +91,21 @@ def classify_journal(cited_level: Level | None, citing_level: Level | None) -> J
 def classify_discipline(
     cited_ebdi: float | None,
     citing_ebdi: float | None,
-    sc_id: str = "",
-) -> DisciplineType | None:
-    """Importer/exporter type for a discipline from its two indicator values.
+) -> tuple[float, TradeDirection] | None:
+    """Cited-minus-citing difference of a discipline and its importer/exporter type.
 
-    A positive cited-minus-citing difference marks an importer, a negative one
-    an exporter, an exact zero is BALANCED. Returns None (unclassified) when
-    either value is missing.
+    A positive difference marks an importer, a negative one an exporter, an
+    exact zero is BALANCED. Returns None (unclassified) when either value is
+    missing.
     """
     if cited_ebdi is None or citing_ebdi is None:
         return None
     difference = cited_ebdi - citing_ebdi
     if difference > 0:
-        direction = TradeDirection.IMPORTER
-    elif difference < 0:
-        direction = TradeDirection.EXPORTER
-    else:
-        direction = TradeDirection.BALANCED
-    return DisciplineType(
-        sc_id=sc_id,
-        cited_ebdi=cited_ebdi,
-        citing_ebdi=citing_ebdi,
-        difference=difference,
-        type=direction,
-    )
+        return difference, TradeDirection.IMPORTER
+    if difference < 0:
+        return difference, TradeDirection.EXPORTER
+    return difference, TradeDirection.BALANCED
 
 
 def build_journal_roles(
@@ -171,28 +117,10 @@ def build_journal_roles(
     Units missing a dimension are excluded from that dimension's threshold but
     still appear in the result, unclassified. Output is sorted by unit_id.
     """
-    cited_levels = {
-        a.unit_id: a for a in assign_levels(sorted(cited_scores.items()), Dimension.CITED)
-    }
-    citing_levels = {
-        a.unit_id: a for a in assign_levels(sorted(citing_scores.items()), Dimension.CITING)
-    }
-    thresholds = {
-        Dimension.CITED: next(iter(cited_levels.values())).threshold_used,
-        Dimension.CITING: next(iter(citing_levels.values())).threshold_used,
-    }
+    cited_levels, cited_threshold = assign_levels(cited_scores)
+    citing_levels, citing_threshold = assign_levels(citing_scores)
     roles = []
-    for unit_id in sorted(set(cited_scores) | set(citing_scores)):
-        cited = cited_levels.get(unit_id)
-        citing = citing_levels.get(unit_id)
-        cited_level = cited.level if cited else None
-        citing_level = citing.level if citing else None
-        roles.append(
-            JournalRole(
-                unit_id=unit_id,
-                cited_level=cited_level,
-                citing_level=citing_level,
-                role=classify_journal(cited_level, citing_level),
-            )
-        )
-    return roles, thresholds
+    for unit_id in sorted(cited_levels.keys() | citing_levels.keys()):
+        cited, citing = cited_levels.get(unit_id), citing_levels.get(unit_id)
+        roles.append(JournalRole(unit_id, cited, citing, classify_journal(cited, citing)))
+    return roles, {Dimension.CITED: cited_threshold, Dimension.CITING: citing_threshold}

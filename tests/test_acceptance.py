@@ -99,9 +99,9 @@ def test_criterion_3_boundary_semantics():
 def test_criterion_4_discipline_taxonomy_replay():
     with criterion(4, "12/12 published discipline rows classified identically"):
         for name, cited, citing, reported_diff, expected in REFERENCE_DISCIPLINE_ROWS:
-            typed = classify_discipline(cited, citing, sc_id=name)
-            assert typed.type.value == expected, name
-            assert typed.difference == pytest.approx(reported_diff, abs=0.01), name
+            difference, direction = classify_discipline(cited, citing)
+            assert direction.value == expected, name
+            assert difference == pytest.approx(reported_diff, abs=0.01), name
 
 
 def test_criterion_5_entropy_property_suite():
@@ -135,10 +135,10 @@ def test_criterion_5_entropy_property_suite():
             base = compute_ebdi(profile, 60)
             scaled = compute_ebdi(profile.scaled(factor), 60)
             assert abs(scaled.pct_internal - base.pct_internal) <= 1e-12
-            assert abs(scaled.stats.entropy - base.stats.entropy) <= 1e-12
+            assert abs(scaled.entropy - base.entropy) <= 1e-12
             assert abs(scaled.pct_hmax - base.pct_hmax) <= 1e-12
             assert abs(scaled.ebdi - base.ebdi) <= 1e-12
-            assert scaled.stats.raw_diversity == base.stats.raw_diversity
+            assert scaled.raw_diversity == base.raw_diversity
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"entropy suite took {elapsed:.2f}s"
 

@@ -157,6 +157,14 @@ def test_malformed_row_exits_1(tmp_path, corpus_paths):
     assert code == 1
 
 
+def test_oversized_decimals_exits_1_without_traceback(tmp_path, corpus_paths, capsys):
+    code = main(["indicators", *corpus_args(corpus_paths), "--decimals", "3000000000",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out" / "indicators.csv").exists()
+
+
 def test_warning_still_exits_0(tmp_path):
     # J2 never cites anything: its CITING rows are missing values, not errors
     paths = write_corpus_files(

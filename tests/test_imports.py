@@ -96,3 +96,18 @@ def test_every_subcommand_runs_without_scipy_or_numpy(tmp_path):
     assert len((tmp_path / "out" / "correlations.csv").read_text().splitlines()) == 1 + 6
     loaded = [m for m in result["modules"] if m.partition(".")[0] in ("scipy", "numpy")]
     assert loaded == []
+
+
+def test_all_lists_exactly_the_public_names():
+    """``__all__`` names every public non-module binding of the package, and only those."""
+    import types
+
+    import ebdi
+
+    public = {
+        name for name, value in vars(ebdi).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    # equality with the bound names also means every listed name resolves
+    assert set(ebdi.__all__) == public
+    assert len(ebdi.__all__) == len(public)

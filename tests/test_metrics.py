@@ -11,8 +11,10 @@ from hypothesis import given, strategies as st
 
 from ebdi import (
     CitationProfile,
+    ComputationError,
     CountingMode,
     Dimension,
+    EbdiScore,
     NoCitationsError,
     ValidationError,
     build_profile,
@@ -206,11 +208,51 @@ class TestComputeEbdi:
         with pytest.raises(ValidationError, match="n_categories must be >= 2"):
             compute_ebdi(profile, n_categories)
 
+    def test_n_categories_below_the_observed_categories_rejected(self):
+        # three external SCs cannot fit a maximum entropy of ln 2: an input error, not exit 2
+        profile = CitationProfile(
+            unit_id="U", focal_sc="F", dimension=Dimension.CITED,
+            counting_mode=CountingMode.WHOLE, internal_count=1.0,
+            external_counts={"A": 1.0, "B": 1.0, "C": 1.0}, external_total=3.0,
+        )
+        with pytest.raises(ValidationError, match="pct_hmax"):
+            compute_ebdi(profile, 2)
+
     def test_out_of_range_percentages_rejected(self):
         with pytest.raises(ValidationError):
             ebdi_value(101.0, 50.0)
         with pytest.raises(ValidationError):
             ebdi_value(50.0, -1.0)
+
+
+class TestEbdiScoreChecks:
+    VALID = dict(
+        unit_id="U", focal_sc="F", dimension=Dimension.CITED, pct_internal=50.0,
+        entropy=math.log(2), hmax=math.log(4), pct_hmax=50.0, ebdi=50.0 / 51.0,
+        raw_diversity=2,
+    )
+
+    def test_consistent_score_accepted(self):
+        score = EbdiScore(**self.VALID)
+        assert score.entropy == math.log(2) and score.raw_diversity == 2
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"hmax": 0.0}, "hmax must be positive"),
+            ({"raw_diversity": 1}, "<=1 category distribution must be 0"),
+            ({"raw_diversity": 0, "entropy": 1e-6}, "<=1 category distribution must be 0"),
+            ({"entropy": math.log(2) + 1e-6}, r"entropy outside \[0, ln\(raw_diversity\)\]"),
+            ({"entropy": -1e-6}, r"entropy outside \[0, ln\(raw_diversity\)\]"),
+            ({"pct_hmax": 100.1, "ebdi": 50.0 / 101.1}, r"pct_hmax outside \[0, 100\]"),
+            ({"pct_hmax": -0.1, "ebdi": 50.0 / 0.9}, r"pct_hmax outside \[0, 100\]"),
+            ({"pct_internal": 100.1, "ebdi": 100.1 / 51.0}, r"pct_internal outside \[0, 100\]"),
+            ({"ebdi": 1.0}, "disagrees with its defining ratio"),
+        ],
+    )
+    def test_inconsistent_score_raises_computation_error(self, fields, message):
+        with pytest.raises(ComputationError, match=message):
+            EbdiScore(**{**self.VALID, **fields})
 
 
 class TestComputeJournalIndicators:
@@ -238,8 +280,8 @@ class TestComputeJournalIndicators:
         cited, citing = compute_journal_indicators(corpus, "UNIT", "FOCAL")
         assert round(cited.ebdi, 2) == 1.01
         assert round(citing.ebdi, 2) == 0.73
-        assert cited.stats.raw_diversity == 26
-        assert citing.stats.raw_diversity == 22
+        assert cited.raw_diversity == 26
+        assert citing.raw_diversity == 22
 
     def test_single_dimension_flags_missing(self):
         corpus = make_corpus(
@@ -329,7 +371,7 @@ def test_scale_invariance(counts, internal, factor):
     base = compute_ebdi(profile, 60)
     scaled = compute_ebdi(profile.scaled(factor), 60)
     assert scaled.pct_internal == pytest.approx(base.pct_internal, abs=1e-12)
-    assert scaled.stats.entropy == pytest.approx(base.stats.entropy, abs=1e-12)
+    assert scaled.entropy == pytest.approx(base.entropy, abs=1e-12)
     assert scaled.pct_hmax == pytest.approx(base.pct_hmax, abs=1e-12)
     assert scaled.ebdi == pytest.approx(base.ebdi, abs=1e-12)
 
@@ -397,5 +439,5 @@ def test_pipeline_matches_oracle_on_random_corpora():
                         assert score.ebdi == pytest.approx(want["ebdi"], abs=1e-9)
                         assert score.pct_internal == pytest.approx(want["pct_internal"], abs=1e-9)
                         assert score.pct_hmax == pytest.approx(want["pct_hmax"], abs=1e-9)
-                        assert score.stats.entropy == pytest.approx(want["H"], abs=1e-9)
-                        assert score.stats.raw_diversity == want["raw_diversity"]
+                        assert score.entropy == pytest.approx(want["H"], abs=1e-9)
+                        assert score.raw_diversity == want["raw_diversity"]

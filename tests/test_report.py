@@ -6,10 +6,12 @@ import csv
 import json
 import logging
 import random
+import statistics
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ebdi import (
     CountingMode,
@@ -257,6 +259,48 @@ class TestRunRoles:
         assert by_unit["c"]["role"] == "UNCLASSIFIED"
         assert by_unit["c"]["citing_level"] is None
 
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        unit_type=st.sampled_from(["journal", "discipline"]),
+        cells=st.lists(
+            st.tuples(*[st.none() | st.floats(0, 100) | st.sampled_from([0.0, 2.5, 100.0])] * 2),
+            min_size=2, max_size=25,
+        ),
+    )
+    def test_rows_follow_the_median_and_sign_rules(self, tmp_path, unit_type, cells):
+        assume(sum(1 for cited, citing in cells if cited is not None and citing is not None) >= 2)
+        values = [(f"u{i:02d}", cited, citing) for i, (cited, citing) in enumerate(cells)]
+        config = RunConfig(scores=write_scores(tmp_path, values), unit_type=unit_type,
+                           out_dir=tmp_path / "out")
+        rows = run_roles(config)["rows"]
+        assert [row["unit_id"] for row in rows] == [unit for unit, _, _ in values]
+
+        if unit_type == "discipline":
+            for row, (_, cited, citing) in zip(rows, values):
+                if cited is None or citing is None:
+                    assert (row["difference"], row["type"]) == (None, "UNCLASSIFIED")
+                    continue
+                assert row["difference"] == cited - citing
+                sign = (cited > citing) - (cited < citing)
+                assert row["type"] == {1: "IMPORTER", -1: "EXPORTER", 0: "BALANCED"}[sign]
+            return
+
+        cited_threshold = statistics.median(c for _, c, _ in values if c is not None)
+        citing_threshold = statistics.median(c for _, _, c in values if c is not None)
+        level = lambda value, threshold: (
+            None if value is None else "HIGH" if value >= threshold else "LOW"
+        )
+        quadrant = {
+            ("HIGH", "HIGH"): "CORE", ("HIGH", "LOW"): "KNOWLEDGE_IMPORTER",
+            ("LOW", "HIGH"): "KNOWLEDGE_EXPORTER", ("LOW", "LOW"): "TANGENTIAL",
+        }
+        for row, (_, cited, citing) in zip(rows, values):
+            levels = (level(cited, cited_threshold), level(citing, citing_threshold))
+            assert (row["cited_level"], row["citing_level"]) == levels
+            assert row["role"] == quadrant.get(levels, "UNCLASSIFIED")
+            assert row["cited_threshold"] == cited_threshold
+            assert row["citing_threshold"] == citing_threshold
+
 
 class TestScatterPlot:
     def _roles_run(self, tmp_path, rows):
@@ -501,9 +545,10 @@ class TestRunConfigValidation:
         with pytest.raises(ValidationError, match="format"):
             RunConfig(fmt="xml")
 
-    def test_negative_decimals_rejected(self):
+    @pytest.mark.parametrize("decimals", [-1, 21, 3_000_000_000])
+    def test_out_of_range_decimals_rejected(self, decimals):
         with pytest.raises(ValidationError, match="decimals"):
-            RunConfig(decimals=-1)
+            RunConfig(decimals=decimals)
 
     def test_unknown_unit_type_rejected(self):
         with pytest.raises(ValidationError, match="unit type"):

@@ -52,36 +52,34 @@ class TestMedianThreshold:
 
 class TestAssignLevels:
     def test_two_values(self):
-        levels = assign_levels([("a", 0.2), ("b", 0.8)], Dimension.CITED)
-        assert [a.level for a in levels] == [Level.LOW, Level.HIGH]
-        assert all(a.threshold_used == 0.5 for a in levels)
-        assert all(a.dimension is Dimension.CITED for a in levels)
+        levels, threshold = assign_levels({"a": 0.2, "b": 0.8})
+        assert levels == {"a": Level.LOW, "b": Level.HIGH}
+        assert threshold == 0.5
 
     def test_value_at_threshold_is_high(self):
-        levels = assign_levels([("a", 1.0), ("b", 2.0), ("c", 3.0)], Dimension.CITED)
-        by_unit = {a.unit_id: a.level for a in levels}
-        assert by_unit["b"] is Level.HIGH  # exactly the median
-        assert by_unit["a"] is Level.LOW
+        levels, threshold = assign_levels({"a": 1.0, "b": 2.0, "c": 3.0})
+        assert threshold == 2.0
+        assert levels["b"] is Level.HIGH  # exactly the median
+        assert levels["a"] is Level.LOW
 
     def test_single_unit_rejected(self):
         with pytest.raises(ValidationError, match="fewer than 2"):
-            assign_levels([("a", 1.0)], Dimension.CITED)
+            assign_levels({"a": 1.0})
 
     def test_high_set_size_against_oracle(self):
         rng = random.Random(11)
         for _ in range(40):
-            values = [(f"u{i}", rng.choice([0.1, 0.4, 0.4, 0.7, 1.3])) for i in range(20)]
-            levels = assign_levels(values, Dimension.CITING)
-            threshold = levels[0].threshold_used
-            expected_high = sum(1 for _, v in values if v >= threshold)
-            assert sum(1 for a in levels if a.level is Level.HIGH) == expected_high
+            values = {f"u{i}": rng.choice([0.1, 0.4, 0.4, 0.7, 1.3]) for i in range(20)}
+            levels, threshold = assign_levels(values)
+            expected_high = sum(1 for v in values.values() if v >= threshold)
+            assert sum(1 for level in levels.values() if level is Level.HIGH) == expected_high
             # distinct values and even count would split 10/10; ties only enlarge HIGH
             assert expected_high >= 10
 
     def test_distinct_even_split(self):
-        values = [(f"u{i}", float(i)) for i in range(20)]
-        levels = assign_levels(values, Dimension.CITED)
-        assert sum(1 for a in levels if a.level is Level.HIGH) == 10
+        values = {f"u{i}": float(i) for i in range(20)}
+        levels, _ = assign_levels(values)
+        assert sum(1 for level in levels.values() if level is Level.HIGH) == 10
 
 
 class TestClassifyJournal:
@@ -112,19 +110,19 @@ class TestClassifyJournal:
 
 class TestClassifyDiscipline:
     def test_importer_row(self):
-        typed = classify_discipline(2.391, 1.823, sc_id="PSYCHOANALYSIS")
-        assert typed.type is TradeDirection.IMPORTER
-        assert typed.difference == pytest.approx(0.57, abs=0.01)
+        difference, direction = classify_discipline(2.391, 1.823)
+        assert direction is TradeDirection.IMPORTER
+        assert difference == pytest.approx(0.57, abs=0.01)
 
     def test_exporter_row(self):
-        typed = classify_discipline(0.31, 0.34, sc_id="ETHNIC STUDIES")
-        assert typed.type is TradeDirection.EXPORTER
-        assert typed.difference == pytest.approx(-0.03, abs=0.01)
+        difference, direction = classify_discipline(0.31, 0.34)
+        assert direction is TradeDirection.EXPORTER
+        assert difference == pytest.approx(-0.03, abs=0.01)
 
     def test_balanced_on_exact_equality(self):
-        typed = classify_discipline(0.5, 0.5)
-        assert typed.type is TradeDirection.BALANCED
-        assert typed.difference == 0.0
+        difference, direction = classify_discipline(0.5, 0.5)
+        assert direction is TradeDirection.BALANCED
+        assert difference == 0.0
 
     def test_missing_value_unclassified(self):
         assert classify_discipline(None, 1.0) is None
@@ -132,9 +130,9 @@ class TestClassifyDiscipline:
 
     def test_all_reference_rows(self):
         for name, cited, citing, reported_diff, expected in REFERENCE_DISCIPLINE_ROWS:
-            typed = classify_discipline(cited, citing, sc_id=name)
-            assert typed.type.value == expected, name
-            assert typed.difference == pytest.approx(reported_diff, abs=0.01), name
+            difference, direction = classify_discipline(cited, citing)
+            assert direction.value == expected, name
+            assert difference == pytest.approx(reported_diff, abs=0.01), name
 
 
 class TestBuildJournalRoles:
@@ -166,26 +164,26 @@ score_lists = st.lists(
 @given(values=score_lists)
 def test_levels_depend_only_on_rank(values):
     """Any strictly increasing rescaling of every value keeps all levels."""
-    scores = [(f"u{i}", v) for i, v in enumerate(values)]
-    transformed = [(u, v**3 + 2.0) for u, v in scores]  # order-preserving, nonlinear
-    before = {a.unit_id: a.level for a in assign_levels(scores, Dimension.CITED)}
-    after = {a.unit_id: a.level for a in assign_levels(transformed, Dimension.CITED)}
+    scores = {f"u{i}": v for i, v in enumerate(values)}
+    transformed = {u: v**3 + 2.0 for u, v in scores.items()}  # order-preserving, nonlinear
+    before, _ = assign_levels(scores)
+    after, _ = assign_levels(transformed)
     assert before == after
 
 
 @given(values=score_lists, data=st.data())
 def test_raising_a_value_never_demotes_it(values, data):
-    scores = [(f"u{i}", v) for i, v in enumerate(values)]
+    scores = {f"u{i}": v for i, v in enumerate(values)}
     index = data.draw(st.integers(min_value=0, max_value=len(scores) - 1), label="unit")
     bump = data.draw(st.integers(min_value=1, max_value=5_000).map(lambda v: v / 100.0), label="bump")
-    unit, value = scores[index]
+    unit = f"u{index}"
+    value = scores[unit]
 
-    baseline = {a.unit_id: a for a in assign_levels(scores, Dimension.CITED)}
+    baseline, threshold = assign_levels(scores)
     # thresholds held fixed: a larger value still clears the recorded threshold
-    if baseline[unit].level is Level.HIGH:
-        assert value + bump >= baseline[unit].threshold_used
+    if baseline[unit] is Level.HIGH:
+        assert value + bump >= threshold
 
-    bumped_scores = scores[:index] + [(unit, value + bump)] + scores[index + 1 :]
-    recomputed = {a.unit_id: a for a in assign_levels(bumped_scores, Dimension.CITED)}
-    if baseline[unit].level is Level.HIGH:
-        assert recomputed[unit].level is Level.HIGH
+    recomputed, _ = assign_levels({**scores, unit: value + bump})
+    if baseline[unit] is Level.HIGH:
+        assert recomputed[unit] is Level.HIGH
