@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Mapping, Sequence
+from functools import cached_property
+from itertools import accumulate, compress
+from operator import add, mul, ne
+from typing import Iterable, Mapping
 
 from .corpus import Source, parse_float, read_csv
 from .errors import ComputationError, LoadError, ValidationError
@@ -51,6 +54,16 @@ class MetricSeries:
                     f"non-finite value for unit {unit_id!r} in metric {self.metric_name!r}"
                 )
 
+    @cached_property
+    def ranking(self) -> tuple[tuple[str, ...], bytes]:
+        """(units sorted by value, run breaks), built once per series.
+
+        :func:`spearman_rho` filters this one order to each pair's overlap, so
+        a series is sorted once however many pairs it takes part in. The
+        values must not change after the first pair.
+        """
+        return _rank_order(self.values)
+
 
 @dataclass(frozen=True)
 class CorrelationResult:
@@ -62,36 +75,30 @@ class CorrelationResult:
     method_note: str
 
 
-def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    n = len(x)
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
-    dx = [v - mean_x for v in x]
-    dy = [v - mean_y for v in y]
-    cov = math.fsum(a * b for a, b in zip(dx, dy))
-    var_x = math.fsum(a * a for a in dx)
-    var_y = math.fsum(b * b for b in dy)
-    if var_x == 0 or var_y == 0:
-        raise ValidationError("constant series; correlation undefined")
-    r = cov / math.sqrt(var_x * var_y)
-    return max(-1.0, min(1.0, r))
+def _rank_order(values: Mapping[str, float]) -> tuple[tuple[str, ...], bytes]:
+    """Units sorted by value, and the run breaks between them.
 
-
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    """1-based ranks, smallest first; each run of equal values gets its mean position.
-
-    A mean of consecutive integers is a whole or half number, so the ranks
-    are exact floats.
+    Byte i is 1 where unit i + 1 has a larger value than unit i, else 0. The
+    running sum of the breaks numbers the runs of equal values 0, 1, ... from
+    the smallest value; ``-0.0`` and ``0.0`` are equal, so they share a run.
     """
-    ranks = [0.0] * len(values)
-    done = 0
-    for _, run in groupby(sorted(range(len(values)), key=values.__getitem__), key=values.__getitem__):
-        run = list(run)
-        rank = done + (len(run) + 1) / 2
-        for index in run:
-            ranks[index] = rank
-        done += len(run)
-    return ranks
+    units = tuple(sorted(values, key=values.__getitem__))
+    ordered = list(map(values.__getitem__, units))
+    return units, bytes(map(ne, ordered, ordered[1:]))
+
+
+def _doubled_ranks(runs: Iterable[int]) -> list[int]:
+    """Twice the 1-based average rank of each entry of a non-decreasing run sequence.
+
+    A run of ``count`` equal values after ``done`` smaller ones holds
+    positions done+1 .. done+count, so its doubled average rank is the
+    integer done + (done + count) + 1.
+    """
+    runs = list(runs)
+    counts = Counter(runs)
+    sizes = counts.values()
+    rank_of_run = dict(zip(counts, map(add, accumulate(sizes), accumulate(sizes, initial=1))))
+    return list(map(rank_of_run.__getitem__, runs))
 
 
 def spearman_rho(x: MetricSeries, y: MetricSeries) -> tuple[float, int]:
@@ -99,17 +106,42 @@ def spearman_rho(x: MetricSeries, y: MetricSeries) -> tuple[float, int]:
 
     Returns (rho, n) where n is the overlap size. Requires n >= 3 and both
     overlapping series non-constant.
+
+    Each series keeps the units of its :attr:`MetricSeries.ranking` that the
+    other series also has, and gives every run of ties its doubled average
+    rank R, an integer. Doubled ranks sum to n(n+1), so the centred ranks are
+    (R - (n+1))/2 and the Pearson sums are exact integers over four:
+    4·cov = ΣRx·Ry - n(n+1)² and 4·var = ΣR² - n(n+1)². Dividing each integer
+    by 4 gives the correctly rounded float. ``math.fsum`` over the products of
+    the centred float ranks gives the same float while every such product is
+    exact in a double: a multiple of 1/4 below n²/4, so for n² < 2**53, that
+    is n below about 9·10⁷. The steps after the sums are the same float
+    operations, so rho has the same bits as the float Pearson of average
+    ranks, over any order of the overlap.
     """
-    overlap = sorted(set(x.values) & set(y.values))
-    if len(overlap) < 3:
+    units_x, breaks_x = x.ranking
+    units_y, breaks_y = y.ranking
+    in_y = list(map(y.values.__contains__, units_x))
+    in_x = list(map(x.values.__contains__, units_y))
+    kept_x = list(compress(units_x, in_y))
+    n = len(kept_x)
+    if n < 3:
         raise ValidationError(
-            f"only {len(overlap)} overlapping units between {x.metric_name!r} and "
+            f"only {n} overlapping units between {x.metric_name!r} and "
             f"{y.metric_name!r}; need at least 3"
         )
-    xs = [x.values[unit] for unit in overlap]
-    ys = [y.values[unit] for unit in overlap]
-    rho = _pearson(_average_ranks(xs), _average_ranks(ys))
-    return rho, len(overlap)
+    ranks_x = _doubled_ranks(compress(accumulate(breaks_x, initial=0), in_y))
+    ranks_y = _doubled_ranks(compress(accumulate(breaks_y, initial=0), in_x))
+    rank_x_of = dict(zip(kept_x, ranks_x))
+    aligned_x = map(rank_x_of.__getitem__, compress(units_y, in_x))
+    offset = n * (n + 1) ** 2
+    cov4 = sum(map(mul, aligned_x, ranks_y)) - offset
+    var_x4 = sum(map(mul, ranks_x, ranks_x)) - offset
+    var_y4 = sum(map(mul, ranks_y, ranks_y)) - offset
+    if var_x4 == 0 or var_y4 == 0:
+        raise ValidationError("constant series; correlation undefined")
+    rho = (cov4 / 4) / math.sqrt((var_x4 / 4) * (var_y4 / 4))
+    return max(-1.0, min(1.0, rho)), n
 
 
 def p_two_tailed(rho: float, n: int) -> float:
@@ -188,14 +220,18 @@ def correlate(x: MetricSeries, y: MetricSeries) -> CorrelationResult:
 def load_metric_series(source: Source) -> list[MetricSeries]:
     """Read long-format metric values: header ``journal_id,metric_name,value``.
 
-    Returns one series per metric name, sorted by name. Duplicate
-    (journal, metric) rows, values that are not finite decimals and the
-    indicator's own names ``cited_ebdi`` and ``citing_ebdi`` are load errors.
+    Returns one series per metric name, sorted by name, with its values in
+    file order; each journal id is one string object across all series.
+    Duplicate (journal, metric) rows, values that are not finite decimals and
+    the indicator's own names ``cited_ebdi`` and ``citing_ebdi`` are load
+    errors.
     """
     by_metric: dict[str, dict[str, float]] = {}
+    ids: dict[str, str] = {}
     for line, (journal_id, metric_name, cell) in read_csv(source, METRIC_FIELDS):
         if not journal_id or not metric_name:
             raise LoadError("journal_id and metric_name must be non-empty", path=source, line=line)
+        journal_id = ids.setdefault(journal_id, journal_id)
         if metric_name in RESERVED_METRIC_NAMES:
             raise LoadError(
                 f"metric name {metric_name!r} is reserved for the indicator's own series",
@@ -209,6 +245,6 @@ def load_metric_series(source: Source) -> list[MetricSeries]:
             )
         series[journal_id] = parse_float(cell, "value", source, line)
     return [
-        MetricSeries(metric_name=name, values=dict(sorted(values.items())))
+        MetricSeries(metric_name=name, values=values)
         for name, values in sorted(by_metric.items())
     ]

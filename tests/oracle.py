@@ -96,6 +96,25 @@ def brute_rank_pearson(x, y):
     return cov / math.sqrt(sum(a * a for a in dx) * sum(b * b for b in dy))
 
 
+def float_pearson(x, y):
+    """Reference: Pearson over float vectors, every sum correctly rounded by ``math.fsum``.
+
+    ``ebdi.stats.spearman_rho`` must give these bits over average ranks.
+    """
+    n = len(x)
+    mean_x = math.fsum(x) / n
+    mean_y = math.fsum(y) / n
+    dx = [v - mean_x for v in x]
+    dy = [v - mean_y for v in y]
+    cov = math.fsum(a * b for a, b in zip(dx, dy))
+    var_x = math.fsum(a * a for a in dx)
+    var_y = math.fsum(b * b for b in dy)
+    if var_x == 0 or var_y == 0:
+        raise ValueError("constant series; correlation undefined")
+    r = cov / math.sqrt(var_x * var_y)
+    return max(-1.0, min(1.0, r))
+
+
 def brute_sc_network(journal_memberships, edge_rows, dimension, mode):
     """Hand-aggregated SC-to-SC weights for one dimension."""
     merged = {}

@@ -391,6 +391,41 @@ class TestRunCorrelations:
         assert abs(first["rho"]) < 0.6
         assert first["p_two_tailed"] > 0.005
 
+    def test_shuffled_input_rows_give_identical_tables(self, tmp_path):
+        # partial overlaps, ties and -0.0 beside 0.0; each series is ranked in
+        # value order, not by unit id, so pin that row order does not matter
+        rng = random.Random(23)
+        units = [f"u{i:03d}" for i in range(120)]
+        levels = [-0.0, 0.0, 0.5, 1.0, 2.5, 4.0, 7.5]
+
+        def value():
+            return None if rng.random() < 0.15 else rng.choice(levels + [rng.uniform(0, 9)])
+
+        score_rows = [(u, value(), value()) for u in units]
+        metric_rows = [
+            (u, name, repr(v))
+            for name in ("impact", "influence", "reach")
+            for u in units
+            if (v := value()) is not None
+        ]
+        tables = []
+        for name in ("ordered", "shuffled"):
+            if name == "shuffled":
+                rng.shuffle(score_rows)
+                rng.shuffle(metric_rows)
+            (tmp_path / name).mkdir()
+            scores = write_scores(tmp_path / name, score_rows)
+            metrics = self._metrics_file(tmp_path / name, metric_rows)
+            for fmt in ("csv", "json"):
+                out = tmp_path / name / fmt
+                config = RunConfig(scores=scores, metrics=metrics, out_dir=out, fmt=fmt, decimals=17)
+                assert len(run_correlations(config)) == 10
+            tables.append([
+                (tmp_path / name / "csv" / "correlations.csv").read_bytes(),
+                json.loads((tmp_path / name / "json" / "correlations.json").read_text())["rows"],
+            ])
+        assert tables[0] == tables[1]
+
     def test_constant_series_skipped_with_warning(self, tmp_path, caplog):
         scores = write_scores(
             tmp_path, [("a", 1.0, 2.0), ("b", 2.0, 1.0), ("c", 3.0, 1.5)]
