@@ -86,20 +86,6 @@ class CitationProfile:
         """Raw citation volume: internal plus external, each citation counted once."""
         return self.internal_count + self.external_total
 
-    def scaled(self, factor: float) -> "CitationProfile":
-        """Profile with every count multiplied by ``factor`` (> 0)."""
-        if factor <= 0:
-            raise ValidationError("scale factor must be positive")
-        return CitationProfile(
-            unit_id=self.unit_id,
-            focal_sc=self.focal_sc,
-            dimension=self.dimension,
-            counting_mode=self.counting_mode,
-            internal_count=self.internal_count * factor,
-            external_counts={sc: value * factor for sc, value in self.external_counts.items()},
-            external_total=self.external_total * factor,
-        )
-
 
 @dataclass(frozen=True)
 class EbdiScore:
@@ -160,11 +146,6 @@ def pct_of_max_entropy(entropy_nats: float, n_categories: int) -> float:
     if entropy_nats < 0:
         raise ValidationError("entropy must be non-negative")
     return 100.0 * entropy_nats / math.log(n_categories)
-
-
-def raw_diversity(profile: CitationProfile) -> int:
-    """Number of distinct SCs with a nonzero external citation count."""
-    return len(profile.external_counts)
 
 
 def ebdi_value(pct_internal: float, pct_hmax: float) -> float:
@@ -311,7 +292,7 @@ def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
         hmax=math.log(n_categories),
         pct_hmax=pct_hmax,
         ebdi=ebdi_value(pct_internal, pct_hmax),
-        raw_diversity=raw_diversity(profile),
+        raw_diversity=len(profile.external_counts),
     )
 
 

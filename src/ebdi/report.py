@@ -4,9 +4,9 @@ Each ``run_*`` function loads what it needs, computes one artifact, writes it
 under the configured output directory, and returns the rows it wrote. Outputs
 are deterministic: row order is fixed (unit, SC, dimension), numbers are
 full-precision in JSON and rounded to the configured decimals in CSV, and no
-timestamps or environment details leak into any file. Every run also writes
-``run_meta.json`` recording the parameters that shaped the numbers, in
-particular the n_categories actually used for the maximum entropy.
+timestamps or environment details leak into any file. Each table ``<stem>``
+also gets its own ``<stem>.meta.json`` recording the parameters that shaped its
+numbers, in particular the n_categories actually used for the maximum entropy.
 
 Missing values (a unit with no citations in a dimension) are emitted as empty
 CSV cells / JSON nulls, never as zeros.
@@ -145,7 +145,7 @@ def _write_table(
     else:
         path = config.out_dir / f"{stem}.json"
         _write_json(path, {"meta": dict(meta), "rows": [dict(row) for row in rows]})
-    _write_json(config.out_dir / "run_meta.json", dict(meta))
+    _write_json(config.out_dir / f"{stem}.meta.json", dict(meta))
     return path
 
 
@@ -343,7 +343,7 @@ def run_roles(config: RunConfig) -> dict[str, object]:
     )
     path = _write_table(config, "roles", columns, rows, meta)
 
-    svg_text = scatter_svg(
+    svg_lines = scatter_svg(
         points=[(unit, cited, citing) for unit, cited, citing in classified],
         x_threshold=thresholds[Dimension.CITED],
         y_threshold=thresholds[Dimension.CITING],
@@ -353,7 +353,8 @@ def run_roles(config: RunConfig) -> dict[str, object]:
         title="Disciplinarity by dimension",
     )
     svg_path = config.out_dir / "scatter.svg"
-    svg_path.write_text(svg_text, encoding="utf-8", newline="\n")
+    with svg_path.open("w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(svg_lines)
     log.info("wrote %s (%d rows) and %s (%d points)", path, len(rows), svg_path, len(classified))
     return {"meta": meta, "rows": rows}
 

@@ -10,7 +10,7 @@ ids). Element classes are stable so the output is machine-checkable:
 from __future__ import annotations
 
 from html import escape
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 WIDTH = 880
 HEIGHT = 640
@@ -57,8 +57,11 @@ def scatter_svg(
     y_label: str,
     quadrant_labels: Mapping[str, str] | None = None,
     title: str | None = None,
-) -> str:
+) -> Iterator[str]:
     """Scatter plot with one point per unit and two median threshold lines.
+
+    Yields the markup line by line, each ending in a newline, so a plot of
+    any size is written without holding its whole text.
 
     ``points`` are (label, x, y) triples; the x axis carries the cited
     dimension and the y axis the citing dimension. ``quadrant_labels`` may
@@ -76,61 +79,60 @@ def scatter_svg(
     left, right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     top, bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
 
-    out: list[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">'
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">\n'
     )
     if title:
-        out.append(
+        yield (
             f'<text class="title" x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-size="16">{escape(title, quote=False)}</text>'
+            f'font-size="16">{escape(title, quote=False)}</text>\n'
         )
 
     # frame and axes
-    out.append(
+    yield (
         f'<rect class="plot-area" x="{left}" y="{top}" width="{right - left}" '
-        f'height="{bottom - top}" fill="none" stroke="#444444" stroke-width="1"/>'
+        f'height="{bottom - top}" fill="none" stroke="#444444" stroke-width="1"/>\n'
     )
     for tick in sx.ticks(N_TICKS):
         px = sx(tick)
-        out.append(
+        yield (
             f'<line class="tick" x1="{_fmt(px)}" y1="{bottom}" x2="{_fmt(px)}" '
-            f'y2="{bottom + 5}" stroke="#444444" stroke-width="1"/>'
+            f'y2="{bottom + 5}" stroke="#444444" stroke-width="1"/>\n'
         )
-        out.append(
+        yield (
             f'<text class="tick-label" x="{_fmt(px)}" y="{bottom + 18}" '
-            f'text-anchor="middle" font-size="11">{tick:.3g}</text>'
+            f'text-anchor="middle" font-size="11">{tick:.3g}</text>\n'
         )
     for tick in sy.ticks(N_TICKS):
         py = sy(tick)
-        out.append(
+        yield (
             f'<line class="tick" x1="{left - 5}" y1="{_fmt(py)}" x2="{left}" '
-            f'y2="{_fmt(py)}" stroke="#444444" stroke-width="1"/>'
+            f'y2="{_fmt(py)}" stroke="#444444" stroke-width="1"/>\n'
         )
-        out.append(
+        yield (
             f'<text class="tick-label" x="{left - 8}" y="{_fmt(py + 4)}" '
-            f'text-anchor="end" font-size="11">{tick:.3g}</text>'
+            f'text-anchor="end" font-size="11">{tick:.3g}</text>\n'
         )
-    out.append(
+    yield (
         f'<text class="axis-label" x="{_fmt((left + right) / 2)}" y="{HEIGHT - 16}" '
-        f'text-anchor="middle" font-size="13">{escape(x_label, quote=False)}</text>'
+        f'text-anchor="middle" font-size="13">{escape(x_label, quote=False)}</text>\n'
     )
-    out.append(
+    yield (
         f'<text class="axis-label" x="18" y="{_fmt((top + bottom) / 2)}" text-anchor="middle" '
-        f'font-size="13" transform="rotate(-90 18 {_fmt((top + bottom) / 2)})">{escape(y_label, quote=False)}</text>'
+        f'font-size="13" transform="rotate(-90 18 {_fmt((top + bottom) / 2)})">{escape(y_label, quote=False)}</text>\n'
     )
 
     # the two median threshold lines
     tx, ty = sx(x_threshold), sy(y_threshold)
-    out.append(
+    yield (
         f'<line class="threshold" x1="{_fmt(tx)}" y1="{top}" x2="{_fmt(tx)}" y2="{bottom}" '
-        f'stroke="#b22222" stroke-width="1" stroke-dasharray="6 4"/>'
+        f'stroke="#b22222" stroke-width="1" stroke-dasharray="6 4"/>\n'
     )
-    out.append(
+    yield (
         f'<line class="threshold" x1="{left}" y1="{_fmt(ty)}" x2="{right}" y2="{_fmt(ty)}" '
-        f'stroke="#b22222" stroke-width="1" stroke-dasharray="6 4"/>'
+        f'stroke="#b22222" stroke-width="1" stroke-dasharray="6 4"/>\n'
     )
 
     if quadrant_labels:
@@ -143,21 +145,20 @@ def scatter_svg(
         for corner, (cx, cy, anchor) in corners.items():
             label = quadrant_labels.get(corner)
             if label:
-                out.append(
+                yield (
                     f'<text class="quadrant-label" x="{cx}" y="{cy}" text-anchor="{anchor}" '
-                    f'font-size="11" fill="#999999">{escape(label, quote=False)}</text>'
+                    f'font-size="11" fill="#999999">{escape(label, quote=False)}</text>\n'
                 )
 
     for label, x, y in points:
         px, py = sx(x), sy(y)
-        out.append(
+        yield (
             f'<circle class="point" cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" '
-            f'fill="#1f77b4" fill-opacity="0.8"/>'
+            f'fill="#1f77b4" fill-opacity="0.8"/>\n'
         )
-        out.append(
+        yield (
             f'<text class="point-label" x="{_fmt(px + 6)}" y="{_fmt(py - 5)}" '
-            f'font-size="10" fill="#333333">{escape(label, quote=False)}</text>'
+            f'font-size="10" fill="#333333">{escape(label, quote=False)}</text>\n'
         )
 
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    yield "</svg>\n"

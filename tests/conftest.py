@@ -7,7 +7,8 @@ import io
 import pytest
 from hypothesis import settings
 
-from ebdi import Corpus, load_classification, load_edges
+from ebdi import Corpus, load_edges
+from ebdi.corpus import load_classification
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")

@@ -7,6 +7,7 @@ loops and ``math.log``. Used to cross-check the pipeline on random corpora.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -69,6 +70,17 @@ def brute_indicator_rows(journal_memberships, edge_rows, n_categories, mode):
                     "raw_diversity": len(external),
                 }
     return out
+
+
+def scaled_profile(profile, factor):
+    """The citation profile with every count multiplied by ``factor`` (> 0)."""
+    assert factor > 0, "scale factor must be positive"
+    return dataclasses.replace(
+        profile,
+        internal_count=profile.internal_count * factor,
+        external_counts={sc: value * factor for sc, value in profile.external_counts.items()},
+        external_total=profile.external_total * factor,
+    )
 
 
 def brute_rank_pearson(x, y):

@@ -16,20 +16,16 @@ from ebdi import (
     CitationProfile,
     CountingMode,
     Dimension,
-    RunConfig,
     build_profile,
     classify_discipline,
     compute_ebdi,
-    ebdi_value,
-    pct_of_max_entropy,
-    run_indicators,
-    shannon_entropy,
-    spearman_rho,
 )
 from ebdi.cli import main as cli_main
-from ebdi.stats import MetricSeries, p_two_tailed
+from ebdi.metrics import ebdi_value, pct_of_max_entropy, shannon_entropy
+from ebdi.report import RunConfig, run_indicators
+from ebdi.stats import MetricSeries, p_two_tailed, spearman_rho
 from conftest import make_corpus, write_corpus_files
-from oracle import brute_indicator_rows, random_corpus_rows
+from oracle import brute_indicator_rows, random_corpus_rows, scaled_profile
 from reference_data import (
     REFERENCE_DISCIPLINE_ROWS,
     WORKED_EBDI_CITED,
@@ -133,7 +129,7 @@ def test_criterion_5_entropy_property_suite():
             profile = random_profile(rng)
             factor = math.exp(rng.uniform(math.log(0.01), math.log(1000)))
             base = compute_ebdi(profile, 60)
-            scaled = compute_ebdi(profile.scaled(factor), 60)
+            scaled = compute_ebdi(scaled_profile(profile, factor), 60)
             assert abs(scaled.pct_internal - base.pct_internal) <= 1e-12
             assert abs(scaled.entropy - base.entropy) <= 1e-12
             assert abs(scaled.pct_hmax - base.pct_hmax) <= 1e-12

@@ -17,14 +17,8 @@ from fractions import Fraction
 
 import pytest
 
-from ebdi import (
-    CountingMode,
-    Dimension,
-    aggregate_sc_network,
-    build_profile,
-    load_classification,
-    load_edges,
-)
+from ebdi import CountingMode, Dimension, aggregate_sc_network, build_profile, load_edges
+from ebdi.corpus import load_classification
 from ebdi.cli import main
 from conftest import csv_text, write_corpus_files
 

@@ -46,8 +46,8 @@ def test_indicators_end_to_end(tmp_path, corpus_paths, capsys):
                  "--out", str(out)])
     assert code == 0
     assert (out / "indicators.csv").exists()
-    assert (out / "run_meta.json").exists()
-    meta = json.loads((out / "run_meta.json").read_text())
+    assert (out / "indicators.meta.json").exists()
+    meta = json.loads((out / "indicators.meta.json").read_text())
     assert meta["n_categories"] == 3
     assert "indicators" in capsys.readouterr().out
 
@@ -62,6 +62,17 @@ def test_roles_end_to_end(tmp_path, corpus_paths):
     payload = json.loads((out / "roles.json").read_text())
     assert len(payload["rows"]) == 3
     assert payload["meta"]["cited_threshold"] is not None
+
+
+def test_stages_sharing_an_output_directory_keep_their_own_meta(tmp_path, corpus_paths):
+    out = tmp_path / "out"
+    assert main(["indicators", *corpus_args(corpus_paths), "--out", str(out)]) == 0
+    assert main(["roles", *corpus_args(corpus_paths), "--focal-sc", "F", "--out", str(out)]) == 0
+    indicators = json.loads((out / "indicators.meta.json").read_text())
+    roles = json.loads((out / "roles.meta.json").read_text())
+    assert indicators["command"] == "indicators"
+    assert roles["command"] == "roles"
+    assert "cited_threshold" in roles and "cited_threshold" not in indicators
 
 
 def test_roles_from_scores_file(tmp_path):
@@ -127,7 +138,7 @@ def test_network_json_format(tmp_path, corpus_paths):
     assert not (json_out / "sc_network.csv").exists()
     payload = json.loads((json_out / "sc_network.json").read_text())
     assert payload["meta"]["format"] == "json"
-    assert payload["meta"] == json.loads((json_out / "run_meta.json").read_text())
+    assert payload["meta"] == json.loads((json_out / "sc_network.meta.json").read_text())
     json_rows = [(r["source_sc"], r["target_sc"], r["weight"]) for r in payload["rows"]]
     csv_lines = (csv_out / "sc_network.csv").read_text().splitlines()[1:]
     assert json_rows == [(s, t, float(w)) for s, t, w in (line.split(",") for line in csv_lines)]
@@ -193,7 +204,7 @@ def test_n_categories_override_recorded(tmp_path, corpus_paths):
     code = main(["indicators", *corpus_args(corpus_paths), "--n-categories", "53",
                  "--out", str(out)])
     assert code == 0
-    meta = json.loads((out / "run_meta.json").read_text())
+    meta = json.loads((out / "indicators.meta.json").read_text())
     assert meta["n_categories"] == 53
 
 
@@ -202,5 +213,5 @@ def test_fractional_counting_flag(tmp_path, corpus_paths):
     code = main(["indicators", *corpus_args(corpus_paths), "--counting", "fractional",
                  "--out", str(out)])
     assert code == 0
-    meta = json.loads((out / "run_meta.json").read_text())
+    meta = json.loads((out / "indicators.meta.json").read_text())
     assert meta["counting_mode"] == "fractional"

@@ -10,18 +10,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from ebdi import (
-    Corpus,
-    Dimension,
-    Journal,
-    LoadError,
-    SubjectCategory,
-    ValidationError,
-    is_internal,
-    load_classification,
-    load_corpus,
-    load_edges,
-)
+from ebdi import Corpus, Dimension, LoadError, ValidationError, load_corpus, load_edges
+from ebdi.corpus import Journal, SubjectCategory, is_internal, load_classification
 from conftest import csv_text, make_corpus, write_corpus_files
 
 

@@ -98,6 +98,26 @@ def test_every_subcommand_runs_without_scipy_or_numpy(tmp_path):
     assert loaded == []
 
 
+#: the documented library surface: load a corpus, profile and score a unit, classify
+PUBLIC_NAMES = {
+    "Corpus", "CountingMode", "Dimension", "load_corpus", "load_edges",
+    "ComputationError", "EbdiError", "LoadError", "NoCitationsError", "ValidationError",
+    "CitationProfile", "EbdiScore", "build_profile", "compute_ebdi",
+    "compute_journal_indicators", "aggregate_sc_network",
+    "JournalRole", "JournalRoleLabel", "Level", "TradeDirection", "assign_levels",
+    "classify_discipline", "build_journal_roles",
+}
+#: names the package no longer re-exports, by the module that defines them
+MODULE_NAMES = {
+    "ebdi.corpus": ("Journal", "SubjectCategory", "is_internal", "load_classification"),
+    "ebdi.metrics": ("ebdi_value", "pct_of_max_entropy", "shannon_entropy"),
+    "ebdi.report": ("RunConfig", "export_sc_network", "run_correlations", "run_indicators", "run_roles"),
+    "ebdi.stats": ("CorrelationResult", "MetricSeries", "correlate", "load_metric_series",
+                   "p_two_tailed", "spearman_rho"),
+    "ebdi.taxonomy": ("classify_journal", "median_threshold"),
+}
+
+
 def test_all_lists_exactly_the_public_names():
     """``__all__`` names every public non-module binding of the package, and only those."""
     import types
@@ -111,3 +131,16 @@ def test_all_lists_exactly_the_public_names():
     # equality with the bound names also means every listed name resolves
     assert set(ebdi.__all__) == public
     assert len(ebdi.__all__) == len(public)
+    assert set(ebdi.__all__) == PUBLIC_NAMES
+
+
+def test_names_outside_the_surface_import_from_their_module():
+    import importlib
+
+    import ebdi
+
+    for module_name, names in MODULE_NAMES.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert getattr(module, name, None) is not None, (module_name, name)
+            assert name not in ebdi.__all__

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ebdi import Dimension, LoadError, load_corpus, load_metric_series
+from ebdi import Dimension, LoadError, load_corpus
+from ebdi.stats import load_metric_series
 from ebdi.cli import main
 from conftest import make_corpus
 

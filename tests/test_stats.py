@@ -16,17 +16,9 @@ import scipy.integrate
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from ebdi import (
-    ComputationError,
-    LoadError,
-    MetricSeries,
-    ValidationError,
-    correlate,
-    load_metric_series,
-    p_two_tailed,
-    spearman_rho,
-)
+from ebdi import ComputationError, LoadError, ValidationError
 from ebdi import stats as stats_module
+from ebdi.stats import MetricSeries, correlate, load_metric_series, p_two_tailed, spearman_rho
 from oracle import brute_rank_pearson, float_pearson
 
 

@@ -16,9 +16,8 @@ from ebdi import (
     assign_levels,
     build_journal_roles,
     classify_discipline,
-    classify_journal,
-    median_threshold,
 )
+from ebdi.taxonomy import classify_journal, median_threshold
 from reference_data import REFERENCE_DISCIPLINE_ROWS
 
 
