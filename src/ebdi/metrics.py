@@ -100,6 +100,7 @@ class EbdiScore:
     pct_hmax: float       # 100 * H / Hmax
     ebdi: float
     raw_diversity: int    # distinct SCs with nonzero external count
+    external_total: float  # raw external citations, copied from the profile
 
     def __post_init__(self) -> None:
         if self.hmax <= 0:
@@ -293,6 +294,7 @@ def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
         pct_hmax=pct_hmax,
         ebdi=ebdi_value(pct_internal, pct_hmax),
         raw_diversity=len(profile.external_counts),
+        external_total=profile.external_total,
     )
 
 

@@ -1,12 +1,16 @@
-"""Pipeline orchestration and artifact emission.
+"""Pipeline orchestration and artifact emission: a thin view over :mod:`ebdi.metrics`.
 
 Each ``run_*`` function loads what it needs, computes one artifact, writes it
-under the configured output directory, and returns the rows it wrote. Outputs
-are deterministic: row order is fixed (unit, SC, dimension), numbers are
-full-precision in JSON and rounded to the configured decimals in CSV, and no
-timestamps or environment details leak into any file. Each table ``<stem>``
-also gets its own ``<stem>.meta.json`` recording the parameters that shaped its
-numbers, in particular the n_categories actually used for the maximum entropy.
+under the configured output directory, and returns the rows it wrote. The
+units a corpus stage scores come from one list, :func:`_units`, which also
+rejects an unknown focal SC; every unit is scored by
+:func:`~ebdi.metrics.compute_journal_indicators`. Every table goes through
+one writer, :func:`_write_table`. Outputs are deterministic: row order is
+fixed (unit, SC, dimension), numbers are full-precision in JSON and rounded to
+the configured decimals in CSV, and no timestamps or environment details leak
+into any file. Each table ``<stem>`` also gets its own ``<stem>.meta.json``
+recording the parameters that shaped its numbers, in particular the
+n_categories actually used for the maximum entropy.
 
 Missing values (a unit with no citations in a dimension) are emitted as empty
 CSV cells / JSON nulls, never as zeros.
@@ -18,13 +22,14 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, CountingMode, Dimension, Source, load_corpus, parse_float, read_csv
-from .errors import LoadError, NoCitationsError, ValidationError
-from .metrics import aggregate_sc_network, build_profile, compute_ebdi, compute_journal_indicators
+from .errors import LoadError, ValidationError
+from .metrics import aggregate_sc_network, compute_journal_indicators
+from .metrics import build_profile, compute_ebdi  # noqa: F401 -- benchmarks/tracing.py wraps them here
 from .stats import MetricSeries, correlate, load_metric_series
 from .svg import scatter_svg
 from .taxonomy import build_journal_roles, classify_discipline, median_threshold
@@ -86,21 +91,12 @@ class RunConfig:
 
 
 def _load_corpus(config: RunConfig) -> Corpus:
-    missing = [
-        name
-        for name, value in (
-            ("classification", config.classification),
-            ("journals", config.journals),
-            ("citations", config.citations),
-        )
-        if value is None
-    ]
+    paths = {"classification": config.classification, "journals": config.journals,
+             "citations": config.citations}
+    missing = [name for name, path in paths.items() if path is None]
     if missing:
         raise ValidationError(f"missing corpus input file(s): {', '.join(missing)}")
-    return load_corpus(
-        config.classification, config.journals, config.citations,
-        n_categories=config.n_categories,
-    )
+    return load_corpus(*paths.values(), n_categories=config.n_categories)
 
 
 def _csv_cell(column: str, value: object, decimals: int) -> str:
@@ -132,24 +128,10 @@ def _write_json(path: Path, payload: Mapping[str, object]) -> None:
 
 
 def _write_table(
-    config: RunConfig,
-    stem: str,
-    columns: Sequence[str],
-    rows: Sequence[Mapping[str, object]],
-    meta: Mapping[str, object],
-) -> Path:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    if config.fmt == "csv":
-        path = config.out_dir / f"{stem}.csv"
-        _write_csv(path, columns, rows, config.decimals)
-    else:
-        path = config.out_dir / f"{stem}.json"
-        _write_json(path, {"meta": dict(meta), "rows": [dict(row) for row in rows]})
-    _write_json(config.out_dir / f"{stem}.meta.json", dict(meta))
-    return path
-
-
-def _run_meta(config: RunConfig, command: str, corpus: Corpus | None, **extra: object) -> dict[str, object]:
+    config: RunConfig, stem: str, columns: Sequence[str], rows: list[dict[str, object]],
+    command: str, corpus: Corpus | None, **extra: object,
+) -> dict[str, object]:
+    """Write ``<stem>.csv|json`` and ``<stem>.meta.json``, log them, and return the meta."""
     meta: dict[str, object] = {
         "command": command,
         "counting_mode": config.counting.value,
@@ -157,9 +139,40 @@ def _run_meta(config: RunConfig, command: str, corpus: Corpus | None, **extra: o
         "focal_sc": config.focal_sc,
         "format": config.fmt,
         "decimals": config.decimals,
+        **extra,
     }
-    meta.update(extra)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    if config.fmt == "csv":
+        path = config.out_dir / f"{stem}.csv"
+        _write_csv(path, columns, rows, config.decimals)
+    else:
+        path = config.out_dir / f"{stem}.json"
+        _write_json(path, {"meta": meta, "rows": rows})
+    _write_json(config.out_dir / f"{stem}.meta.json", meta)
+    log.info("wrote %s (%d rows)", path, len(rows))
     return meta
+
+
+def _units(config: RunConfig, corpus: Corpus, every_membership: bool = False) -> list[tuple[str, str]]:
+    """The (unit, focal SC) pairs a corpus stage scores, in output order.
+
+    Discipline runs score each SC that has journals against itself; journal
+    runs score the focal SC's journals, or, for the indicators table
+    (``every_membership``) without a focal SC, every (journal, membership).
+    """
+    if config.focal_sc is not None and config.focal_sc not in corpus.sc_registry:
+        raise ValidationError(f"unknown sc_id {config.focal_sc!r}")
+    if config.unit_type == "discipline" and not every_membership:
+        return [(sc_id, sc_id) for sc_id in sorted(corpus.sc_registry) if corpus.journals_in(sc_id)]
+    if config.focal_sc is not None:
+        return [(jid, config.focal_sc) for jid in corpus.journals_in(config.focal_sc)]
+    if not every_membership:
+        raise ValidationError(
+            "role and correlation runs over a corpus need --focal-sc "
+            "(journals are analyzed relative to one subject category)"
+        )
+    return [(jid, sc_id) for jid in sorted(corpus.journals)
+            for sc_id in sorted(corpus.journals[jid].sc_memberships)]
 
 
 # -- score collection (shared by roles and correlations) ---------------------------
@@ -195,26 +208,10 @@ def _collect_score_pairs(
         return _read_scores_csv(config.scores), None
 
     corpus = _load_corpus(config)
-    if config.unit_type == "discipline":
-        units = [sc_id for sc_id in sorted(corpus.sc_registry) if corpus.journals_in(sc_id)]
-        focal = {unit: unit for unit in units}
-    else:
-        if not config.focal_sc:
-            raise ValidationError(
-                "role and correlation runs over a corpus need --focal-sc "
-                "(journals are analyzed relative to one subject category)"
-            )
-        if config.focal_sc not in corpus.sc_registry:
-            raise ValidationError(f"unknown sc_id {config.focal_sc!r}")
-        units = list(corpus.journals_in(config.focal_sc))
-        focal = {unit: config.focal_sc for unit in units}
-
     pairs = []
-    for unit in units:
-        cited, citing = compute_journal_indicators(corpus, unit, focal[unit], config.counting)
-        pairs.append(
-            (unit, cited.ebdi if cited else None, citing.ebdi if citing else None)
-        )
+    for unit, focal_sc in _units(config, corpus):
+        cited, citing = compute_journal_indicators(corpus, unit, focal_sc, config.counting)
+        pairs.append((unit, cited.ebdi if cited else None, citing.ebdi if citing else None))
     return pairs, corpus
 
 
@@ -224,49 +221,24 @@ def _collect_score_pairs(
 def run_indicators(config: RunConfig) -> list[dict[str, object]]:
     """One row per (journal, focal SC, dimension) with the full indicator breakdown."""
     corpus = _load_corpus(config)
-    if config.focal_sc is not None:
-        if config.focal_sc not in corpus.sc_registry:
-            raise ValidationError(f"unknown sc_id {config.focal_sc!r}")
-        pairs = [(jid, config.focal_sc) for jid in corpus.journals_in(config.focal_sc)]
-    else:
-        pairs = [
-            (jid, sc_id)
-            for jid in sorted(corpus.journals)
-            for sc_id in sorted(corpus.journals[jid].sc_memberships)
-        ]
-
     rows: list[dict[str, object]] = []
-    missing = 0
-    for jid, sc_id in pairs:
-        for dimension in (Dimension.CITED, Dimension.CITING):
-            profile = build_profile(corpus, jid, sc_id, dimension, config.counting)
-            row: dict[str, object] = {
-                "unit_id": jid, "focal_sc": sc_id, "dimension": dimension.value,
-            }
-            try:
-                score = compute_ebdi(profile, corpus.n_categories)
+    for unit, sc_id in _units(config, corpus, every_membership=True):
+        scores = compute_journal_indicators(corpus, unit, sc_id, config.counting)
+        for dimension, score in zip((Dimension.CITED, Dimension.CITING), scores):
+            row = dict.fromkeys(INDICATOR_COLUMNS)  # a missing dimension keeps None cells
+            row.update(unit_id=unit, focal_sc=sc_id, dimension=dimension.value)
+            if score is not None:
                 row.update(
-                    pct_internal=score.pct_internal,
-                    sum_external=profile.external_total,
-                    H=score.entropy,
-                    Hmax=score.hmax,
-                    pct_hmax=score.pct_hmax,
-                    ebdi=score.ebdi,
-                    raw_diversity=score.raw_diversity,
-                )
-            except NoCitationsError:
-                missing += 1
-                row.update(
-                    pct_internal=None, sum_external=None, H=None, Hmax=None,
-                    pct_hmax=None, ebdi=None, raw_diversity=None,
+                    pct_internal=score.pct_internal, sum_external=score.external_total,
+                    H=score.entropy, Hmax=score.hmax, pct_hmax=score.pct_hmax,
+                    ebdi=score.ebdi, raw_diversity=score.raw_diversity,
                 )
             rows.append(row)
 
+    missing = sum(row["ebdi"] is None for row in rows)
     if missing:
         log.warning("%d (unit, SC, dimension) rows have no citations; emitted as missing", missing)
-    meta = _run_meta(config, "indicators", corpus)
-    path = _write_table(config, "indicators", INDICATOR_COLUMNS, rows, meta)
-    log.info("wrote %s (%d rows)", path, len(rows))
+    _write_table(config, "indicators", INDICATOR_COLUMNS, rows, "indicators", corpus)
     return rows
 
 
@@ -335,16 +307,15 @@ def run_roles(config: RunConfig) -> dict[str, object]:
     if unclassified:
         log.warning("%d units lack a dimension and are reported unclassified", unclassified)
 
-    meta = _run_meta(
-        config, "roles", corpus,
+    meta = _write_table(
+        config, "roles", columns, rows, "roles", corpus,
         unit_type=config.unit_type,
         cited_threshold=thresholds[Dimension.CITED],
         citing_threshold=thresholds[Dimension.CITING],
     )
-    path = _write_table(config, "roles", columns, rows, meta)
 
     svg_lines = scatter_svg(
-        points=[(unit, cited, citing) for unit, cited, citing in classified],
+        points=classified,
         x_threshold=thresholds[Dimension.CITED],
         y_threshold=thresholds[Dimension.CITING],
         x_label="EBDI (cited)",
@@ -355,7 +326,7 @@ def run_roles(config: RunConfig) -> dict[str, object]:
     svg_path = config.out_dir / "scatter.svg"
     with svg_path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.writelines(svg_lines)
-    log.info("wrote %s (%d rows) and %s (%d points)", path, len(rows), svg_path, len(classified))
+    log.info("wrote %s (%d points)", svg_path, len(classified))
     return {"meta": meta, "rows": rows}
 
 
@@ -381,18 +352,12 @@ def run_correlations(config: RunConfig) -> list[dict[str, object]]:
                     series[i].metric_name, series[j].metric_name, exc,
                 )
                 continue
-            rows.append({
-                "metric_x": result.metric_x,
-                "metric_y": result.metric_y,
-                "n": result.n,
-                "rho": result.rho,
-                "p_two_tailed": result.p_two_tailed,
-                "method_note": result.method_note,
-            })
+            rows.append(asdict(result))  # its fields are CORRELATION_COLUMNS, in order
 
-    meta = _run_meta(config, "correlate", corpus, metrics_file=str(config.metrics))
-    path = _write_table(config, "correlations", CORRELATION_COLUMNS, rows, meta)
-    log.info("wrote %s (%d pairs)", path, len(rows))
+    _write_table(
+        config, "correlations", CORRELATION_COLUMNS, rows, "correlate", corpus,
+        metrics_file=str(config.metrics),
+    )
     return rows
 
 
@@ -425,6 +390,7 @@ def export_sc_network(config: RunConfig) -> list[dict[str, object]]:
             config.top_k, len(ranked),
         )
     retained = set(ranked[: config.top_k])
+    log.info("kept %d SCs by citation volume", len(retained))
 
     rows = [
         {"source_sc": source, "target_sc": target, "weight": weight}
@@ -433,10 +399,8 @@ def export_sc_network(config: RunConfig) -> list[dict[str, object]]:
     ]
     rows.sort(key=lambda row: (-float(row["weight"]), row["source_sc"], row["target_sc"]))
 
-    meta = _run_meta(
-        config, "network", corpus,
+    _write_table(
+        config, "sc_network", NETWORK_COLUMNS, rows, "network", corpus,
         dimension=config.dimension.value, top_k=config.top_k,
     )
-    path = _write_table(config, "sc_network", NETWORK_COLUMNS, rows, meta)
-    log.info("wrote %s (%d edges, %d SCs retained)", path, len(rows), min(config.top_k, len(ranked)))
     return rows

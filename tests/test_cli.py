@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from ebdi import ComputationError
 from ebdi.cli import main
 from conftest import write_corpus_files
+
+SAMPLE = Path(__file__).resolve().parents[1] / "sample_data"
 
 
 @pytest.fixture
@@ -152,6 +155,17 @@ def test_missing_input_file_exits_1(tmp_path, corpus_paths):
                  "--citations", str(corpus_paths["citations"]),
                  "--out", str(tmp_path / "out")])
     assert code == 1
+
+
+def test_unknown_focal_sc_in_discipline_roles_exits_1(tmp_path, caplog):
+    # the sample corpus classifies enough disciplines for a role run to succeed
+    sample = {"classification": SAMPLE / "subject_categories.csv",
+              "journals": SAMPLE / "journals.csv", "citations": SAMPLE / "citations.csv"}
+    code = main(["roles", *corpus_args(sample), "--unit-type", "discipline",
+                 "--focal-sc", "NOPE", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "unknown sc_id 'NOPE'" in caplog.text
+    assert not (tmp_path / "out" / "roles.meta.json").exists()
 
 
 def test_malformed_row_exits_1(tmp_path, corpus_paths):

@@ -183,6 +183,7 @@ class TestComputeEbdi:
             external_counts={"A": 1.0}, external_total=1.0,
         )
         score = compute_ebdi(profile, 10)
+        assert score.external_total == profile.external_total
         assert score.pct_hmax == 0.0
         assert score.ebdi == score.pct_internal == 75.0
 
@@ -226,7 +227,7 @@ class TestEbdiScoreChecks:
     VALID = dict(
         unit_id="U", focal_sc="F", dimension=Dimension.CITED, pct_internal=50.0,
         entropy=math.log(2), hmax=math.log(4), pct_hmax=50.0, ebdi=50.0 / 51.0,
-        raw_diversity=2,
+        raw_diversity=2, external_total=10.0,
     )
 
     def test_consistent_score_accepted(self):

@@ -10,13 +10,17 @@ import statistics
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from ebdi import CountingMode, Dimension, ValidationError
+from ebdi import CountingMode, Dimension, ValidationError, load_corpus
+import ebdi.metrics as metrics_module
 import ebdi.report as report_module
-from ebdi.report import RunConfig, export_sc_network, run_correlations, run_indicators, run_roles
+from ebdi.report import (
+    INDICATOR_COLUMNS, RunConfig, export_sc_network, run_correlations, run_indicators, run_roles,
+)
 from ebdi.svg import scatter_svg
 from conftest import write_corpus_files
 from oracle import (
@@ -33,6 +37,13 @@ from reference_data import (
     WORKED_INTERNAL_COUNT,
     WORKED_N_CATEGORIES,
 )
+
+SAMPLE = Path(__file__).resolve().parents[1] / "sample_data"
+SAMPLE_PATHS = {
+    "classification": SAMPLE / "subject_categories.csv",
+    "journals": SAMPLE / "journals.csv",
+    "citations": SAMPLE / "citations.csv",
+}
 
 
 def worked_example_files(tmp_path):
@@ -103,13 +114,26 @@ class TestRunIndicators:
         citing = next(
             r for r in rows if r["unit_id"] == "SAME" and r["dimension"] == "CITING"
         )
-        assert citing["ebdi"] is None
+        assert tuple(citing) == INDICATOR_COLUMNS
+        assert all(citing[column] is None for column in INDICATOR_COLUMNS[3:])
         csv_rows = read_csv(tmp_path / "out" / "indicators.csv")
         citing_csv = next(
             r for r in csv_rows if r["unit_id"] == "SAME" and r["dimension"] == "CITING"
         )
         assert citing_csv["ebdi"] == ""
         assert "missing" in caplog.text
+        json_config = RunConfig(
+            **paths, focal_sc="FOCAL", n_categories=53, out_dir=tmp_path / "json", fmt="json"
+        )
+        run_indicators(json_config)
+        json_text = (tmp_path / "json" / "indicators.json").read_text(encoding="utf-8")
+        citing_json = next(
+            r for r in json.loads(json_text)["rows"]
+            if r["unit_id"] == "SAME" and r["dimension"] == "CITING"
+        )
+        assert list(citing_json) == list(INDICATOR_COLUMNS)
+        assert all(citing_json[column] is None for column in INDICATOR_COLUMNS[3:])
+        assert '"ebdi": null' in json_text
 
     def test_rows_match_brute_force(self, tmp_path):
         rng = random.Random(42)
@@ -172,6 +196,49 @@ class TestRunIndicators:
         config = RunConfig(**paths, focal_sc="NOPE", out_dir=tmp_path / "out")
         with pytest.raises(ValidationError, match="unknown sc_id"):
             run_indicators(config)
+
+
+class TestOneProfilePerUnitDimension:
+    """Every stage profiles each (unit, SC, dimension) it scores exactly once."""
+
+    @pytest.fixture
+    def profile_calls(self, monkeypatch):
+        calls = []
+        original = metrics_module.build_profile
+
+        def counted(corpus, unit_id, focal_sc, dimension, *args, **kwargs):
+            calls.append((unit_id, focal_sc, dimension))
+            return original(corpus, unit_id, focal_sc, dimension, *args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "build_profile", counted)
+        monkeypatch.setattr(report_module, "build_profile", counted)
+        return calls
+
+    @staticmethod
+    def expected(pairs):
+        return sorted((unit, sc, dim) for unit, sc in pairs for dim in Dimension)
+
+    def test_indicators_every_membership(self, tmp_path, profile_calls):
+        corpus = load_corpus(*SAMPLE_PATHS.values())
+        run_indicators(RunConfig(**SAMPLE_PATHS, out_dir=tmp_path))
+        pairs = [(jid, sc) for jid, journal in corpus.journals.items() for sc in journal.sc_memberships]
+        assert sorted(profile_calls) == self.expected(pairs)
+
+    def test_indicators_one_focal_sc(self, tmp_path, profile_calls):
+        corpus = load_corpus(*SAMPLE_PATHS.values())
+        run_indicators(RunConfig(**SAMPLE_PATHS, focal_sc="LIS", out_dir=tmp_path))
+        assert sorted(profile_calls) == self.expected((jid, "LIS") for jid in corpus.journals_in("LIS"))
+
+    def test_journal_roles(self, tmp_path, profile_calls):
+        corpus = load_corpus(*SAMPLE_PATHS.values())
+        run_roles(RunConfig(**SAMPLE_PATHS, focal_sc="LIS", out_dir=tmp_path))
+        assert sorted(profile_calls) == self.expected((jid, "LIS") for jid in corpus.journals_in("LIS"))
+
+    def test_discipline_roles(self, tmp_path, profile_calls):
+        corpus = load_corpus(*SAMPLE_PATHS.values())
+        run_roles(RunConfig(**SAMPLE_PATHS, unit_type="discipline", out_dir=tmp_path))
+        scs = [sc for sc in corpus.sc_registry if corpus.journals_in(sc)]
+        assert sorted(profile_calls) == self.expected((sc, sc) for sc in scs)
 
 
 class TestRunRoles:
