@@ -108,8 +108,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from(args)
         if args.command == "indicators":
-            rows = run_indicators(config)
-            print(f"indicators: {len(rows)} rows -> {config.out_dir}")
+            count = run_indicators(config)
+            print(f"indicators: {count} rows -> {config.out_dir}")
         elif args.command == "roles":
             artifact = run_roles(config)
             print(f"roles: {len(artifact['rows'])} units -> {config.out_dir}")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Mapping
 
 from .corpus import Corpus, CountingMode, Dimension
@@ -70,7 +71,7 @@ class CitationProfile:
     def __post_init__(self) -> None:
         if self.internal_count < 0 or self.external_total < 0:
             raise ComputationError("negative citation totals in profile")
-        if any(value <= 0 for value in self.external_counts.values()):
+        if self.external_counts and min(self.external_counts.values()) <= 0:
             raise ComputationError("external_counts must hold strictly positive values")
         if self.focal_sc in self.external_counts:
             raise ComputationError("focal SC leaked into the external distribution")
@@ -126,14 +127,20 @@ def shannon_entropy(counts: Mapping[str, float]) -> float:
     H = -sum(p_i * ln(p_i)) with p_i = x_i / sum(x). Zero-count entries are
     excluded (0*ln(0) := 0); an empty distribution has entropy 0 by definition.
     """
-    values = [v for v in counts.values() if v != 0]
-    if any(v < 0 for v in values):
-        raise ValidationError("entropy requires non-negative counts")
+    values = [*counts.values()]
     if not values:
         return 0.0
+    low = min(values)
+    if low < 0:
+        raise ValidationError("entropy requires non-negative counts")
+    if low == 0:
+        values = [v for v in values if v != 0]
+        if not values:
+            return 0.0
     total = math.fsum(values)
+    ps = [v / total for v in values]
     # the +0.0 normalizes -0.0 away (single-category distributions)
-    return -math.fsum(v / total * math.log(v / total) for v in values) + 0.0
+    return -math.fsum(map(mul, ps, map(math.log, ps))) + 0.0
 
 
 def pct_of_max_entropy(entropy_nats: float, n_categories: int) -> float:
@@ -281,8 +288,11 @@ def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
             f"no citations in dimension {profile.dimension.value} for unit "
             f"{profile.unit_id!r} (focal SC {profile.focal_sc!r})"
         )
+    if n_categories < 2:
+        raise ValidationError("n_categories must be >= 2 (otherwise the maximum entropy is 0)")
+    hmax = math.log(n_categories)
     entropy = shannon_entropy(profile.external_counts)
-    pct_hmax = pct_of_max_entropy(entropy, n_categories)  # validates n_categories >= 2
+    pct_hmax = 100.0 * entropy / hmax  # pct_of_max_entropy, with the logarithm taken once
     pct_internal = 100.0 * (profile.internal_count / profile.total)
     return EbdiScore(
         unit_id=profile.unit_id,
@@ -290,7 +300,7 @@ def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
         dimension=profile.dimension,
         pct_internal=pct_internal,
         entropy=entropy,
-        hmax=math.log(n_categories),
+        hmax=hmax,
         pct_hmax=pct_hmax,
         ebdi=ebdi_value(pct_internal, pct_hmax),
         raw_diversity=len(profile.external_counts),

@@ -1,16 +1,18 @@
 """Pipeline orchestration and artifact emission: a thin view over :mod:`ebdi.metrics`.
 
-Each ``run_*`` function loads what it needs, computes one artifact, writes it
-under the configured output directory, and returns the rows it wrote. The
-units a corpus stage scores come from one list, :func:`_units`, which also
-rejects an unknown focal SC; every unit is scored by
-:func:`~ebdi.metrics.compute_journal_indicators`. Every table goes through
-one writer, :func:`_write_table`. Outputs are deterministic: row order is
-fixed (unit, SC, dimension), numbers are full-precision in JSON and rounded to
-the configured decimals in CSV, and no timestamps or environment details leak
-into any file. Each table ``<stem>`` also gets its own ``<stem>.meta.json``
-recording the parameters that shaped its numbers, in particular the
-n_categories actually used for the maximum entropy.
+Each ``run_*`` function loads what it needs, computes one artifact and writes
+it under the configured output directory. :func:`run_indicators` streams its
+rows to the file as each unit is scored and returns their number; the other
+stages return the rows they wrote. The units a corpus stage scores come from
+one list, :func:`_units`, which also rejects an unknown focal SC; every unit
+is scored by :func:`~ebdi.metrics.compute_journal_indicators`. Every table
+goes through one streaming writer, :func:`_write_table`. Outputs are
+deterministic: row order is fixed (unit, SC, dimension), numbers are
+full-precision in JSON and rounded to the configured decimals in CSV, and no
+timestamps or environment details leak into any file. Each table ``<stem>``
+also gets its own ``<stem>.meta.json`` recording the parameters that shaped
+its numbers, in particular the n_categories actually used for the maximum
+entropy.
 
 Missing values (a unit with no citations in a dimension) are emitted as empty
 CSV cells / JSON nulls, never as zeros.
@@ -24,7 +26,8 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Corpus, CountingMode, Dimension, Source, load_corpus, parse_float, read_csv
 from .errors import LoadError, ValidationError
@@ -113,25 +116,32 @@ def _csv_cell(column: str, value: object, decimals: int) -> str:
     return f"{float(value):.{decimals}f}"
 
 
-def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Mapping[str, object]], decimals: int) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(col, row.get(col), decimals) for col in columns])
+def _json_text(value: object, indent: int) -> str:
+    """``json.dumps(value, indent=2)``, every line after the first shifted right by ``indent``.
+
+    JSON escapes newlines inside strings, so each raw newline is layout.
+    """
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + " " * indent)
 
 
-def _write_json(path: Path, payload: Mapping[str, object]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        json.dump(payload, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+#: a flat row as ``json.dumps(row, indent=2)`` writes it, less its braces' line breaks
+#: and indentation; unindented, it runs in the C encoder
+_json_row = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
 
 
 def _write_table(
-    config: RunConfig, stem: str, columns: Sequence[str], rows: list[dict[str, object]],
+    config: RunConfig, stem: str, columns: Sequence[str], rows: Iterable[Mapping[str, object]],
     command: str, corpus: Corpus | None, **extra: object,
-) -> dict[str, object]:
-    """Write ``<stem>.csv|json`` and ``<stem>.meta.json``, log them, and return the meta."""
+) -> tuple[int, dict[str, object]]:
+    """Stream ``rows`` to ``<stem>.csv|json``, write ``<stem>.meta.json``, log them.
+
+    Returns the number of rows written and the meta. The meta does not depend
+    on the rows, so a JSON table opens with it and then takes each row as it
+    comes; the bytes equal ``json.dump({"meta": meta, "rows": rows}, indent=2)``
+    as long as every cell is a scalar, as in every table here. The table is
+    written to ``<name>.partial`` and renamed once complete, so an error while
+    the rows are computed leaves no truncated table behind.
+    """
     meta: dict[str, object] = {
         "command": command,
         "counting_mode": config.counting.value,
@@ -141,28 +151,62 @@ def _write_table(
         "decimals": config.decimals,
         **extra,
     }
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     if config.fmt == "csv":
-        path = config.out_dir / f"{stem}.csv"
-        _write_csv(path, columns, rows, config.decimals)
+        # csv.writer returns what its file's write returns: with str, the formatted line
+        line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+        head, separator, tails = line(columns), "", ("", "")  # tails: (no rows, some rows)
+        decimals = config.decimals
+
+        def encode(row: Mapping[str, object]) -> str:
+            return line([_csv_cell(col, row.get(col), decimals) for col in columns])
     else:
-        path = config.out_dir / f"{stem}.json"
-        _write_json(path, {"meta": meta, "rows": rows})
-    _write_json(config.out_dir / f"{stem}.meta.json", meta)
-    log.info("wrote %s (%d rows)", path, len(rows))
-    return meta
+        head = '{\n  "meta": ' + _json_text(meta, 2) + ',\n  "rows": ['
+        separator, tails = ",", ("]\n}\n", "\n  ]\n}\n")
+
+        def encode(row: Mapping[str, object]) -> str:
+            # a row's cells are scalars, so its only line breaks are the item separators
+            return "\n    {\n      " + _json_row(row)[1:-1] + "\n    }" if row else "\n    {}"
+
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    path = config.out_dir / f"{stem}.{config.fmt}"
+    partial = path.with_name(path.name + ".partial")
+    count = 0
+    try:
+        with partial.open("w", encoding="utf-8", newline="") as handle:
+            handle.write(head)
+            for row in rows:
+                if count:
+                    handle.write(separator)
+                handle.write(encode(row))
+                count += 1
+            handle.write(tails[count > 0])
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    meta_path = config.out_dir / f"{stem}.meta.json"
+    meta_path.write_text(_json_text(meta, 0) + "\n", encoding="utf-8", newline="")
+    log.info("wrote %s (%d rows)", path, count)
+    return count, meta
 
 
-def _units(config: RunConfig, corpus: Corpus, every_membership: bool = False) -> list[tuple[str, str]]:
+def _units(
+    config: RunConfig, corpus: Corpus, every_membership: bool = False,
+) -> Iterable[tuple[str, str]]:
     """The (unit, focal SC) pairs a corpus stage scores, in output order.
 
-    Discipline runs score each SC that has journals against itself; journal
-    runs score the focal SC's journals, or, for the indicators table
-    (``every_membership``) without a focal SC, every (journal, membership).
+    Discipline runs score each SC that has journals against itself, so they
+    take no focal SC; journal runs score the focal SC's journals, or, for the
+    indicators table (``every_membership``) without a focal SC, every
+    (journal, membership), yielded lazily. The checks run before the first pair.
     """
     if config.focal_sc is not None and config.focal_sc not in corpus.sc_registry:
         raise ValidationError(f"unknown sc_id {config.focal_sc!r}")
     if config.unit_type == "discipline" and not every_membership:
+        if config.focal_sc is not None:
+            raise ValidationError(
+                "discipline runs score every SC against itself; --focal-sc does not apply"
+            )
         return [(sc_id, sc_id) for sc_id in sorted(corpus.sc_registry) if corpus.journals_in(sc_id)]
     if config.focal_sc is not None:
         return [(jid, config.focal_sc) for jid in corpus.journals_in(config.focal_sc)]
@@ -171,8 +215,9 @@ def _units(config: RunConfig, corpus: Corpus, every_membership: bool = False) ->
             "role and correlation runs over a corpus need --focal-sc "
             "(journals are analyzed relative to one subject category)"
         )
-    return [(jid, sc_id) for jid in sorted(corpus.journals)
-            for sc_id in sorted(corpus.journals[jid].sc_memberships)]
+    journals = corpus.journals
+    return ((jid, sc_id) for jid in sorted(journals)
+            for sc_id in sorted(journals[jid].sc_memberships))
 
 
 # -- score collection (shared by roles and correlations) ---------------------------
@@ -218,28 +263,37 @@ def _collect_score_pairs(
 # -- pipeline stages ----------------------------------------------------------------
 
 
-def run_indicators(config: RunConfig) -> list[dict[str, object]]:
-    """One row per (journal, focal SC, dimension) with the full indicator breakdown."""
-    corpus = _load_corpus(config)
-    rows: list[dict[str, object]] = []
-    for unit, sc_id in _units(config, corpus, every_membership=True):
-        scores = compute_journal_indicators(corpus, unit, sc_id, config.counting)
-        for dimension, score in zip((Dimension.CITED, Dimension.CITING), scores):
-            row = dict.fromkeys(INDICATOR_COLUMNS)  # a missing dimension keeps None cells
-            row.update(unit_id=unit, focal_sc=sc_id, dimension=dimension.value)
-            if score is not None:
-                row.update(
-                    pct_internal=score.pct_internal, sum_external=score.external_total,
-                    H=score.entropy, Hmax=score.hmax, pct_hmax=score.pct_hmax,
-                    ebdi=score.ebdi, raw_diversity=score.raw_diversity,
-                )
-            rows.append(row)
+def run_indicators(config: RunConfig) -> int:
+    """One row per (journal, focal SC, dimension) with the full indicator breakdown.
 
-    missing = sum(row["ebdi"] is None for row in rows)
+    Each unit's two rows go to the file as soon as they are scored, so no
+    list of rows is kept; returns the number of rows written.
+    """
+    corpus = _load_corpus(config)
+    units = _units(config, corpus, every_membership=True)
+    missing = 0
+
+    def rows() -> Iterator[dict[str, object]]:
+        nonlocal missing
+        for unit, sc_id in units:
+            scores = compute_journal_indicators(corpus, unit, sc_id, config.counting)
+            for dimension, score in zip((Dimension.CITED, Dimension.CITING), scores):
+                row = dict.fromkeys(INDICATOR_COLUMNS)  # a missing dimension keeps None cells
+                row.update(unit_id=unit, focal_sc=sc_id, dimension=dimension.value)
+                if score is None:
+                    missing += 1
+                else:
+                    row.update(
+                        pct_internal=score.pct_internal, sum_external=score.external_total,
+                        H=score.entropy, Hmax=score.hmax, pct_hmax=score.pct_hmax,
+                        ebdi=score.ebdi, raw_diversity=score.raw_diversity,
+                    )
+                yield row
+
+    count, _ = _write_table(config, "indicators", INDICATOR_COLUMNS, rows(), "indicators", corpus)
     if missing:
         log.warning("%d (unit, SC, dimension) rows have no citations; emitted as missing", missing)
-    _write_table(config, "indicators", INDICATOR_COLUMNS, rows, "indicators", corpus)
-    return rows
+    return count
 
 
 def run_roles(config: RunConfig) -> dict[str, object]:
@@ -307,7 +361,7 @@ def run_roles(config: RunConfig) -> dict[str, object]:
     if unclassified:
         log.warning("%d units lack a dimension and are reported unclassified", unclassified)
 
-    meta = _write_table(
+    _, meta = _write_table(
         config, "roles", columns, rows, "roles", corpus,
         unit_type=config.unit_type,
         cited_threshold=thresholds[Dimension.CITED],

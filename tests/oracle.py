@@ -72,6 +72,21 @@ def brute_indicator_rows(journal_memberships, edge_rows, n_categories, mode):
     return out
 
 
+def reference_entropy(counts):
+    """The generator-expression entropy the lean ``metrics.shannon_entropy`` must equal bit for bit.
+
+    Zero counts are dropped, negative ones rejected, and the +0.0 turns the
+    single-category -0.0 into a plain zero.
+    """
+    values = [v for v in counts.values() if v != 0]
+    if any(v < 0 for v in values):
+        raise ValueError("entropy requires non-negative counts")
+    if not values:
+        return 0.0
+    total = math.fsum(values)
+    return -math.fsum(v / total * math.log(v / total) for v in values) + 0.0
+
+
 def scaled_profile(profile, factor):
     """The citation profile with every count multiplied by ``factor`` (> 0)."""
     assert factor > 0, "scale factor must be positive"

@@ -5,6 +5,7 @@ nowhere else."""
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 import time
@@ -173,8 +174,11 @@ def test_criterion_7_oracle_equivalence(tmp_path):
             sc_rows, journal_rows, citation_rows, memberships = random_corpus_rows(rng)
             paths = write_corpus_files(tmp_path, sc_rows, journal_rows, citation_rows)
             for mode in (CountingMode.WHOLE, CountingMode.FRACTIONAL):
-                config = RunConfig(**paths, counting=mode, out_dir=tmp_path / "out")
-                rows = run_indicators(config)
+                config = RunConfig(**paths, counting=mode, out_dir=tmp_path / "out", fmt="json")
+                count = run_indicators(config)
+                table = (tmp_path / "out" / "indicators.json").read_text(encoding="utf-8")
+                rows = json.loads(table)["rows"]
+                assert count == len(rows)
                 expected = brute_indicator_rows(
                     memberships, citation_rows, n_categories=len(sc_rows), mode=mode.value
                 )

@@ -168,6 +168,17 @@ def test_unknown_focal_sc_in_discipline_roles_exits_1(tmp_path, caplog):
     assert not (tmp_path / "out" / "roles.meta.json").exists()
 
 
+def test_focal_sc_in_discipline_roles_exits_1(tmp_path, caplog):
+    # a discipline run scores every SC against itself, so a focal SC would be recorded but ignored
+    sample = {"classification": SAMPLE / "subject_categories.csv",
+              "journals": SAMPLE / "journals.csv", "citations": SAMPLE / "citations.csv"}
+    code = main(["roles", *corpus_args(sample), "--unit-type", "discipline",
+                 "--focal-sc", "LIS", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "--focal-sc" in caplog.text
+    assert not (tmp_path / "out" / "roles.meta.json").exists()
+
+
 def test_malformed_row_exits_1(tmp_path, corpus_paths):
     bad = tmp_path / "bad_citations.csv"
     bad.write_text(

@@ -23,7 +23,7 @@ from ebdi import (
 )
 from ebdi.metrics import ebdi_value, pct_of_max_entropy, shannon_entropy
 from conftest import make_corpus
-from oracle import brute_indicator_rows, random_corpus_rows, scaled_profile
+from oracle import brute_indicator_rows, random_corpus_rows, reference_entropy, scaled_profile
 
 
 class TestShannonEntropy:
@@ -51,6 +51,41 @@ class TestShannonEntropy:
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):
             shannon_entropy({"A": -1})
+
+    def test_negative_count_beside_zero_rejected(self):
+        with pytest.raises(ValidationError):
+            shannon_entropy({"A": 0, "B": 3, "C": -0.5})
+
+    def test_single_category_matches_reference_sign(self):
+        for counts in ({"A": 5}, {"A": 0.25, "B": 0}, {"A": 7}):
+            h, want = shannon_entropy(counts), reference_entropy(counts)
+            assert h == want == 0.0
+            assert math.copysign(1.0, h) == math.copysign(1.0, want) == 1.0
+
+
+# finite, non-negative counts, zeros included: integers as the corpus stores them,
+# and floats as fractional attribution makes them
+entropy_counts = st.dictionaries(
+    keys=st.text(alphabet="ABCDEGHJKL", min_size=1, max_size=2),
+    values=st.one_of(
+        st.integers(min_value=0, max_value=10**12),
+        st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False),
+    ),
+    max_size=12,
+)
+
+
+@given(counts=entropy_counts)
+def test_entropy_has_the_reference_bits(counts):
+    try:
+        want = reference_entropy(counts)
+    except ValueError:  # a subnormal count whose share underflows to 0.0 has no logarithm
+        with pytest.raises(ValueError):
+            shannon_entropy(counts)
+        return
+    h = shannon_entropy(counts)
+    assert h == want
+    assert math.copysign(1.0, h) == math.copysign(1.0, want)
 
 
 class TestPctOfMaxEntropy:
@@ -215,6 +250,15 @@ class TestComputeEbdi:
         )
         with pytest.raises(ValidationError, match="pct_hmax"):
             compute_ebdi(profile, 2)
+
+    @pytest.mark.parametrize("counts", [{"A": 1.0, "B": 0.0}, {"A": -1.0}, {"A": 2.0, "B": -0.0}])
+    def test_non_positive_external_count_rejected(self, counts):
+        with pytest.raises(ComputationError, match="strictly positive"):
+            CitationProfile(
+                unit_id="U", focal_sc="F", dimension=Dimension.CITED,
+                counting_mode=CountingMode.WHOLE, internal_count=1.0,
+                external_counts=counts, external_total=3.0,
+            )
 
     def test_out_of_range_percentages_rejected(self):
         with pytest.raises(ValidationError):

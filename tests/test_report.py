@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import random
@@ -15,7 +16,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from ebdi import CountingMode, Dimension, ValidationError, load_corpus
+from ebdi import (
+    ComputationError, CountingMode, Dimension, ValidationError,
+    compute_journal_indicators, load_corpus,
+)
 import ebdi.metrics as metrics_module
 import ebdi.report as report_module
 from ebdi.report import (
@@ -72,6 +76,11 @@ def read_csv(path):
         return list(csv.DictReader(handle))
 
 
+def read_json_rows(out_dir, stem="indicators"):
+    """The full-precision rows of a JSON table artifact."""
+    return json.loads((out_dir / f"{stem}.json").read_text(encoding="utf-8"))["rows"]
+
+
 def write_scores(tmp_path, rows, name="scores.csv"):
     path = tmp_path / name
     lines = ["unit_id,cited_ebdi,citing_ebdi"]
@@ -110,9 +119,14 @@ class TestRunIndicators:
         paths = worked_example_files(tmp_path)
         config = RunConfig(**paths, focal_sc="FOCAL", n_categories=53, out_dir=tmp_path / "out")
         with caplog.at_level(logging.WARNING):
-            rows = run_indicators(config)
+            run_indicators(config)
+        json_config = RunConfig(
+            **paths, focal_sc="FOCAL", n_categories=53, out_dir=tmp_path / "json", fmt="json"
+        )
+        run_indicators(json_config)
         citing = next(
-            r for r in rows if r["unit_id"] == "SAME" and r["dimension"] == "CITING"
+            r for r in read_json_rows(tmp_path / "json")
+            if r["unit_id"] == "SAME" and r["dimension"] == "CITING"
         )
         assert tuple(citing) == INDICATOR_COLUMNS
         assert all(citing[column] is None for column in INDICATOR_COLUMNS[3:])
@@ -122,10 +136,6 @@ class TestRunIndicators:
         )
         assert citing_csv["ebdi"] == ""
         assert "missing" in caplog.text
-        json_config = RunConfig(
-            **paths, focal_sc="FOCAL", n_categories=53, out_dir=tmp_path / "json", fmt="json"
-        )
-        run_indicators(json_config)
         json_text = (tmp_path / "json" / "indicators.json").read_text(encoding="utf-8")
         citing_json = next(
             r for r in json.loads(json_text)["rows"]
@@ -140,8 +150,10 @@ class TestRunIndicators:
         sc_rows, journal_rows, citation_rows, memberships = random_corpus_rows(rng)
         paths = write_corpus_files(tmp_path, sc_rows, journal_rows, citation_rows)
         for mode in (CountingMode.WHOLE, CountingMode.FRACTIONAL):
-            config = RunConfig(**paths, counting=mode, out_dir=tmp_path / f"out_{mode.value}")
-            rows = run_indicators(config)
+            out = tmp_path / f"out_{mode.value}"
+            count = run_indicators(RunConfig(**paths, counting=mode, out_dir=out, fmt="json"))
+            rows = read_json_rows(out)
+            assert count == len(rows)
             expected = brute_indicator_rows(
                 memberships, citation_rows, n_categories=len(sc_rows), mode=mode.value
             )
@@ -160,10 +172,21 @@ class TestRunIndicators:
         sc_rows, journal_rows, citation_rows, _ = random_corpus_rows(rng)
         paths = write_corpus_files(tmp_path, sc_rows, journal_rows, citation_rows)
         config = RunConfig(**paths, out_dir=tmp_path / "out", fmt="json")
-        rows = run_indicators(config)
+        count = run_indicators(config)
         with (tmp_path / "out" / "indicators.json").open(encoding="utf-8") as handle:
             payload = json.load(handle)
-        assert payload["rows"] == rows
+        assert len(payload["rows"]) == count
+        # every parsed float has the bits the library computes
+        corpus = load_corpus(*paths.values())
+        fields = {
+            "pct_internal": "pct_internal", "sum_external": "external_total", "H": "entropy",
+            "Hmax": "hmax", "pct_hmax": "pct_hmax", "ebdi": "ebdi", "raw_diversity": "raw_diversity",
+        }
+        for row in payload["rows"]:
+            scores = compute_journal_indicators(corpus, row["unit_id"], row["focal_sc"])
+            score = dict(zip(("CITED", "CITING"), scores))[row["dimension"]]
+            for column, attribute in fields.items():
+                assert row[column] == (getattr(score, attribute) if score else None), column
         assert payload["meta"]["n_categories"] == len(sc_rows)
 
     def test_csv_round_trip_at_rounding(self, tmp_path):
@@ -171,8 +194,11 @@ class TestRunIndicators:
         sc_rows, journal_rows, citation_rows, _ = random_corpus_rows(rng)
         paths = write_corpus_files(tmp_path, sc_rows, journal_rows, citation_rows)
         config = RunConfig(**paths, out_dir=tmp_path / "out", fmt="csv", decimals=3)
-        rows = run_indicators(config)
+        run_indicators(config)
+        run_indicators(RunConfig(**paths, out_dir=tmp_path / "json", fmt="json", decimals=3))
+        rows = read_json_rows(tmp_path / "json")
         csv_rows = read_csv(tmp_path / "out" / "indicators.csv")
+        assert len(rows) == len(csv_rows)
         for row, csv_row in zip(rows, csv_rows):
             if row["ebdi"] is None:
                 assert csv_row["ebdi"] == ""
@@ -196,6 +222,117 @@ class TestRunIndicators:
         config = RunConfig(**paths, focal_sc="NOPE", out_dir=tmp_path / "out")
         with pytest.raises(ValidationError, match="unknown sc_id"):
             run_indicators(config)
+
+
+def memberships_corpus_rows(n_journals):
+    """A corpus of ``n_journals`` journals in 1-3 of 20 SCs, each citing 4 partners per dimension."""
+    sc_ids = [f"S{i:02d}" for i in range(20)]
+    journal_rows = [
+        (f"J{i:05d}", f"Journal {i}", ";".join(sc_ids[(i + k) % 20] for k in range(1 + i % 3)))
+        for i in range(n_journals)
+    ]
+    citation_rows = [
+        (f"J{i:05d}", f"J{(i * 7 + k * 13 + 1) % n_journals:05d}", dim, 1 + (i + k) % 9)
+        for i in range(n_journals) for k in range(4) for dim in ("CITED", "CITING")
+    ]
+    return [(sc, f"Category {sc}", "") for sc in sc_ids], journal_rows, citation_rows
+
+
+class TestStreamedIndicators:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_above_the_corpus_stays_flat(self, tmp_path, monkeypatch, fmt):
+        """The rows go to the file as they are scored, so the memory above the
+        loaded corpus does not grow with the number of journals.
+
+        Measured with tracemalloc from the end of the corpus load to the end of
+        the run, 100 → 400 journals (398 → 1,598 rows): under 10 kB apart when
+        the rows stream, and about 0.5 MB apart in both formats when every row
+        is kept until the table is written.
+        """
+        loaded = []
+        original = report_module.load_corpus
+
+        def traced(*args, **kwargs):
+            corpus = original(*args, **kwargs)
+            loaded.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return corpus
+
+        monkeypatch.setattr(report_module, "load_corpus", traced)
+        peaks = []
+        for n_journals in (100, 400):
+            paths = write_corpus_files(tmp_path, *memberships_corpus_rows(n_journals))
+            tracemalloc.start()
+            try:
+                run_indicators(RunConfig(**paths, out_dir=tmp_path / f"out{n_journals}", fmt=fmt))
+                peaks.append(tracemalloc.get_traced_memory()[1] - loaded[-1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 100_000
+
+
+class TestWriteTable:
+    COLUMNS = ("unit_id", "H", "n", "note")
+    ONE = {"unit_id": "J1", "H": 0.25, "n": 3, "note": "x"}
+    NON_ASCII = {"unit_id": "Zeitschrift für Ökologie «Ω»", "H": 1.0, "n": 1, "note": 'say "hi"'}
+    NONE_CELLS = {"unit_id": "J3", "H": None, "n": None, "note": None}
+    SEVENTEEN_DIGITS = {"unit_id": "J4", "H": 1.1 * 1.1, "n": 0, "note": "line\nbreak"}  # 1.2100000000000002
+
+    @pytest.mark.parametrize("rows", [
+        [], [ONE], [NON_ASCII], [NONE_CELLS], [SEVENTEEN_DIGITS],
+        [ONE, NON_ASCII, NONE_CELLS, SEVENTEEN_DIGITS],
+    ])
+    def test_streamed_json_equals_one_dump(self, tmp_path, rows):
+        config = RunConfig(out_dir=tmp_path, fmt="json")
+        count, meta = report_module._write_table(
+            config, "t", self.COLUMNS, iter(rows), "cmd", None, note="ä"
+        )
+        assert count == len(rows)
+        dump = lambda value: json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+        text = (tmp_path / "t.json").read_text(encoding="utf-8")
+        assert text == dump({"meta": meta, "rows": rows})
+        assert json.loads(text)["rows"] == rows
+        assert (tmp_path / "t.meta.json").read_text(encoding="utf-8") == dump(meta)
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.dictionaries(
+        keys=st.text(max_size=6),
+        values=st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+        max_size=5,
+    ), max_size=4))
+    def test_streamed_json_equals_one_dump_for_any_scalar_cells(self, tmp_path, rows):
+        count, meta = report_module._write_table(
+            RunConfig(out_dir=tmp_path, fmt="json"), "t", self.COLUMNS, iter(rows), "cmd", None
+        )
+        assert count == len(rows)
+        expected = json.dumps({"meta": meta, "rows": rows}, indent=2, ensure_ascii=False) + "\n"
+        assert (tmp_path / "t.json").read_text(encoding="utf-8") == expected
+
+    def test_streamed_csv_equals_csv_writer(self, tmp_path):
+        rows = [self.ONE, self.NON_ASCII, self.NONE_CELLS, self.SEVENTEEN_DIGITS]
+        count, _ = report_module._write_table(
+            RunConfig(out_dir=tmp_path, decimals=3), "t", self.COLUMNS, iter(rows), "cmd", None
+        )
+        assert count == len(rows)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerows([
+            self.COLUMNS, ["J1", "0.250", "3", "x"], [self.NON_ASCII["unit_id"], "1.000", "1", 'say "hi"'],
+            ["J3", "", "", ""], ["J4", "1.210", "0", "line\nbreak"],
+        ])
+        assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == expected.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_mid_stream_leaves_no_table(self, tmp_path, fmt):
+        def rows():
+            yield self.ONE
+            raise ComputationError("synthetic failure")
+
+        with pytest.raises(ComputationError):
+            report_module._write_table(
+                RunConfig(out_dir=tmp_path, fmt=fmt), "t", self.COLUMNS, rows(), "cmd", None
+            )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOneProfilePerUnitDimension:
