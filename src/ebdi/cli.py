@@ -12,17 +12,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .corpus import CountingMode, Dimension
 from .errors import ComputationError, EbdiError
-from .report import (
-    RunConfig,
-    export_sc_network,
-    run_correlations,
-    run_indicators,
-    run_roles,
-)
+from .report import RunConfig, export_sc_network, run_correlations, run_indicators, run_roles
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +29,8 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
                         help="override the number of possible SCs used for the maximum entropy")
     parser.add_argument("--counting", choices=["whole", "fractional"], default="whole",
                         help="attribution of citations to a multi-SC partner's categories")
-    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", type=Path, default=Path("."),
+                        help="output directory")
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     parser.add_argument("--decimals", type=int, default=2,
                         help="decimal places for rounded CSV reports (0-20)")
@@ -79,25 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        classification=args.classification,
-        journals=args.journals,
-        citations=args.citations,
-        metrics=getattr(args, "metrics", None),
-        scores=getattr(args, "scores", None),
-        focal_sc=getattr(args, "focal_sc", None),
-        unit_type=getattr(args, "unit_type", "journal"),
-        n_categories=args.n_categories,
-        counting=CountingMode.parse(args.counting),
-        dimension=Dimension.parse(args.dimension) if getattr(args, "dimension", None) else None,
-        top_k=getattr(args, "top_k", None),
-        out_dir=args.out,
-        fmt=args.fmt,
-        decimals=args.decimals,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -106,7 +82,9 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
-        config = _config_from(args)
+        # every flag's dest is its RunConfig field; RunConfig types and checks them
+        config = RunConfig(**{field.name: getattr(args, field.name)
+                              for field in fields(RunConfig) if hasattr(args, field.name)})
         if args.command == "indicators":
             count = run_indicators(config)
             print(f"indicators: {count} rows -> {config.out_dir}")

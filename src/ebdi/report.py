@@ -25,6 +25,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -58,11 +59,17 @@ SCORES_COLUMNS = ("unit_id", "cited_ebdi", "citing_ebdi")
 _INT_COLUMNS = {"sum_external", "raw_diversity", "n"}
 #: data-export columns kept at full precision even in CSV
 _RAW_COLUMNS = {"weight"}
+#: the inputs of a corpus run, which a run from precomputed scores neither reads nor records
+_CORPUS_INPUTS = ("classification", "journals", "citations", "focal_sc", "n_categories")
 
 
 @dataclass
 class RunConfig:
-    """Everything a pipeline stage needs to know, resolved from the CLI."""
+    """Everything a pipeline stage needs to know; the CLI builds it from its flags.
+
+    Construction types and checks the inputs: ``counting`` and ``dimension``
+    take the enum or the CLI's string, and a scores run takes no corpus input.
+    """
 
     classification: Path | None = None
     journals: Path | None = None
@@ -80,6 +87,14 @@ class RunConfig:
     decimals: int = 2
 
     def __post_init__(self) -> None:
+        self.counting = CountingMode.parse(self.counting)
+        if self.dimension is not None:
+            self.dimension = Dimension.parse(self.dimension)
+        if self.scores is not None:
+            given = [f"--{name.replace('_', '-')}" for name in _CORPUS_INPUTS
+                     if getattr(self, name) is not None]
+            if given:
+                raise ValidationError(f"--scores replaces the corpus; drop {', '.join(given)}")
         if self.fmt not in ("csv", "json"):
             raise ValidationError(f"unknown output format {self.fmt!r}")
         if not 0 <= self.decimals <= 20:  # a double has 17 significant digits; JSON keeps all
@@ -357,9 +372,9 @@ def run_roles(config: RunConfig) -> dict[str, object]:
         columns = ROLES_DISCIPLINE_COLUMNS
         quadrants = None
 
-    unclassified = sum(1 for row in rows if row.get("role", row.get("type")) == UNCLASSIFIED)
-    if unclassified:
-        log.warning("%d units lack a dimension and are reported unclassified", unclassified)
+    if len(pairs) > len(classified):
+        log.warning("%d units lack a dimension and are reported unclassified",
+                    len(pairs) - len(classified))
 
     _, meta = _write_table(
         config, "roles", columns, rows, "roles", corpus,
@@ -396,17 +411,13 @@ def run_correlations(config: RunConfig) -> list[dict[str, object]]:
     series.extend(load_metric_series(config.metrics))
 
     rows: list[dict[str, object]] = []
-    for i in range(len(series)):
-        for j in range(i + 1, len(series)):
-            try:
-                result = correlate(series[i], series[j])
-            except ValidationError as exc:
-                log.warning(
-                    "skipping pair (%s, %s): %s",
-                    series[i].metric_name, series[j].metric_name, exc,
-                )
-                continue
-            rows.append(asdict(result))  # its fields are CORRELATION_COLUMNS, in order
+    for x, y in combinations(series, 2):
+        try:
+            result = correlate(x, y)
+        except ValidationError as exc:
+            log.warning("skipping pair (%s, %s): %s", x.metric_name, y.metric_name, exc)
+            continue
+        rows.append(asdict(result))  # its fields are CORRELATION_COLUMNS, in order
 
     _write_table(
         config, "correlations", CORRELATION_COLUMNS, rows, "correlate", corpus,

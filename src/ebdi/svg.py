@@ -10,7 +10,7 @@ ids). Element classes are stable so the output is machine-checkable:
 from __future__ import annotations
 
 from html import escape
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 WIDTH = 880
 HEIGHT = 640
@@ -25,28 +25,23 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _axis_range(values: Sequence[float]) -> tuple[float, float]:
+def _axis(
+    values: Sequence[float], pix_lo: float, pix_hi: float,
+) -> tuple[Callable[[float], float], list[float]]:
+    """A value's pixel position on an axis over ``values`` padded by 5%, and the axis ticks."""
     lo, hi = min(values), max(values)
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
     padded_lo = lo - pad
     if lo >= 0.0 > padded_lo:
-        padded_lo = 0.0  # indicator values are non-negative; keep the axis so
-    return padded_lo, hi + pad
+        padded_lo = 0.0  # indicator values are non-negative; so is the axis
+    lo, hi = padded_lo, hi + pad
 
+    def position(value: float) -> float:
+        return pix_lo + (value - lo) / (hi - lo) * (pix_hi - pix_lo)
 
-class _Scale:
-    def __init__(self, lo: float, hi: float, pix_lo: float, pix_hi: float):
-        self.lo, self.hi = lo, hi
-        self.pix_lo, self.pix_hi = pix_lo, pix_hi
-
-    def __call__(self, value: float) -> float:
-        frac = (value - self.lo) / (self.hi - self.lo)
-        return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
-
-    def ticks(self, n: int) -> list[float]:
-        return [self.lo + i * (self.hi - self.lo) / (n - 1) for i in range(n)]
+    return position, [lo + i * (hi - lo) / (N_TICKS - 1) for i in range(N_TICKS)]
 
 
 def scatter_svg(
@@ -69,15 +64,10 @@ def scatter_svg(
     bottom_right) that the threshold lines cut out.
     """
     points = sorted(points)
-    xs = [x for _, x, _ in points] + [x_threshold]
-    ys = [y for _, _, y in points] + [y_threshold]
-    x_lo, x_hi = _axis_range(xs)
-    y_lo, y_hi = _axis_range(ys)
-    sx = _Scale(x_lo, x_hi, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
-    sy = _Scale(y_lo, y_hi, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)  # y grows upward
-
     left, right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     top, bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
+    sx, x_ticks = _axis([x for _, x, _ in points] + [x_threshold], left, right)
+    sy, y_ticks = _axis([y for _, _, y in points] + [y_threshold], bottom, top)  # y grows upward
 
     yield '<?xml version="1.0" encoding="UTF-8"?>\n'
     yield (
@@ -95,7 +85,7 @@ def scatter_svg(
         f'<rect class="plot-area" x="{left}" y="{top}" width="{right - left}" '
         f'height="{bottom - top}" fill="none" stroke="#444444" stroke-width="1"/>\n'
     )
-    for tick in sx.ticks(N_TICKS):
+    for tick in x_ticks:
         px = sx(tick)
         yield (
             f'<line class="tick" x1="{_fmt(px)}" y1="{bottom}" x2="{_fmt(px)}" '
@@ -105,7 +95,7 @@ def scatter_svg(
             f'<text class="tick-label" x="{_fmt(px)}" y="{bottom + 18}" '
             f'text-anchor="middle" font-size="11">{tick:.3g}</text>\n'
         )
-    for tick in sy.ticks(N_TICKS):
+    for tick in y_ticks:
         py = sy(tick)
         yield (
             f'<line class="tick" x1="{left - 5}" y1="{_fmt(py)}" x2="{left}" '

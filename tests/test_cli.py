@@ -240,3 +240,77 @@ def test_fractional_counting_flag(tmp_path, corpus_paths):
     assert code == 0
     meta = json.loads((out / "indicators.meta.json").read_text())
     assert meta["counting_mode"] == "fractional"
+
+
+def sample_scores(tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "unit_id,cited_ebdi,citing_ebdi\nJINF,1.0,2.0\nQMIS,2.0,1.0\nARIS,0.5,0.7\n",
+        encoding="utf-8",
+    )
+    return scores
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("roles", ["--focal-sc", "X"]),
+    ("correlate", ["--n-categories", "5"]),
+    ("roles", ["--citations", str(SAMPLE / "citations.csv")]),
+    ("correlate", ["--classification", str(SAMPLE / "subject_categories.csv"),
+                   "--journals", str(SAMPLE / "journals.csv")]),
+])
+def test_corpus_flag_beside_scores_exits_1(tmp_path, caplog, command, flags):
+    # precomputed scores replace the corpus, so its flags would be recorded but ignored
+    extra = ["--metrics", str(SAMPLE / "metrics.csv")] if command == "correlate" else []
+    out = tmp_path / "out"
+    code = main([command, "--scores", str(sample_scores(tmp_path)), *extra, *flags,
+                 "--out", str(out)])
+    assert code == 1
+    for flag in flags[::2]:
+        assert flag in caplog.text
+    assert not out.exists()
+
+
+SAMPLE_CORPUS = [
+    "--classification", str(SAMPLE / "subject_categories.csv"),
+    "--journals", str(SAMPLE / "journals.csv"),
+    "--citations", str(SAMPLE / "citations.csv"),
+]
+#: every shared flag at a value other than its default, and what the meta records for it
+SHARED_FLAGS = ["--n-categories", "40", "--counting", "fractional", "--format", "json",
+                "--decimals", "5"]
+SHARED_META = {"n_categories": 40, "counting_mode": "fractional", "format": "json", "decimals": 5}
+
+
+@pytest.mark.parametrize("command, stem, flags, recorded", [
+    ("indicators", "indicators", [*SAMPLE_CORPUS, *SHARED_FLAGS, "--focal-sc", "LIS"],
+     {**SHARED_META, "focal_sc": "LIS"}),
+    ("roles", "roles", [*SAMPLE_CORPUS, *SHARED_FLAGS, "--focal-sc", "LIS"],
+     {**SHARED_META, "focal_sc": "LIS", "unit_type": "journal"}),
+    ("roles", "roles", [*SAMPLE_CORPUS, *SHARED_FLAGS, "--unit-type", "discipline"],
+     {**SHARED_META, "focal_sc": None, "unit_type": "discipline"}),
+    ("roles", "roles", ["--scores", "SCORES", "--unit-type", "discipline", "--format", "json",
+                        "--decimals", "5"],
+     {"n_categories": None, "format": "json", "decimals": 5, "focal_sc": None,
+      "unit_type": "discipline"}),
+    ("correlate", "correlations",
+     [*SAMPLE_CORPUS, *SHARED_FLAGS, "--focal-sc", "LIS", "--metrics", "METRICS"],
+     {**SHARED_META, "focal_sc": "LIS", "metrics_file": "METRICS"}),
+    ("correlate", "correlations",
+     ["--scores", "SCORES", "--metrics", "METRICS", "--format", "json", "--decimals", "5"],
+     {"n_categories": None, "format": "json", "decimals": 5, "metrics_file": "METRICS"}),
+    ("network", "sc_network",
+     [*SAMPLE_CORPUS, *SHARED_FLAGS, "--dimension", "citing", "--top-k", "2"],
+     {**SHARED_META, "focal_sc": None, "dimension": "CITING", "top_k": 2}),
+])
+def test_every_flag_reaches_the_run(tmp_path, command, stem, flags, recorded):
+    # each flag's dest is the name of its RunConfig field; a drifted dest leaves the field
+    # at its default, which this run either needs (exit 1) or records in the meta
+    files = {"SCORES": str(sample_scores(tmp_path)), "METRICS": str(SAMPLE / "metrics.csv")}
+    flags = [files.get(flag, flag) for flag in flags]
+    recorded = {key: files.get(value, value) for key, value in recorded.items()}
+    out = tmp_path / "out"
+    assert main([command, *flags, "--out", str(out)]) == 0
+    meta = json.loads((out / f"{stem}.meta.json").read_text(encoding="utf-8"))
+    assert {key: meta[key] for key in recorded} == recorded
+    assert meta["command"] == command
+    assert (out / f"{stem}.json").exists()

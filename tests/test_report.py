@@ -81,6 +81,10 @@ def read_json_rows(out_dir, stem="indicators"):
     return json.loads((out_dir / f"{stem}.json").read_text(encoding="utf-8"))["rows"]
 
 
+def written_files(out_dir):
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
 def write_scores(tmp_path, rows, name="scores.csv"):
     path = tmp_path / name
     lines = ["unit_id,cited_ebdi,citing_ebdi"]
@@ -812,3 +816,50 @@ class TestRunConfigValidation:
     def test_unknown_unit_type_rejected(self):
         with pytest.raises(ValidationError, match="unit type"):
             RunConfig(unit_type="author")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_string_counting_writes_what_the_enum_writes(self, tmp_path, fmt):
+        outs = [tmp_path / "enum", tmp_path / "string"]
+        for counting, out in zip((CountingMode.FRACTIONAL, "fractional"), outs):
+            run_indicators(RunConfig(**SAMPLE_PATHS, counting=counting, out_dir=out, fmt=fmt))
+        assert written_files(outs[0]) == written_files(outs[1])
+        meta = json.loads((outs[1] / "indicators.meta.json").read_text(encoding="utf-8"))
+        assert meta["counting_mode"] == "fractional"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_string_dimension_writes_what_the_enum_writes(self, tmp_path, fmt):
+        outs = [tmp_path / "enum", tmp_path / "string"]
+        inputs = [(Dimension.CITED, CountingMode.FRACTIONAL), ("cited", "fractional")]
+        for (dimension, counting), out in zip(inputs, outs):
+            rows = export_sc_network(RunConfig(
+                **SAMPLE_PATHS, dimension=dimension, counting=counting, top_k=3,
+                out_dir=out, fmt=fmt,
+            ))
+            assert rows
+        assert written_files(outs[0]) == written_files(outs[1])
+
+    def test_config_holds_the_enums(self):
+        config = RunConfig(counting=" Fractional", dimension="citing")
+        assert config.counting is CountingMode.FRACTIONAL
+        assert config.dimension is Dimension.CITING
+        assert RunConfig().counting is CountingMode.WHOLE and RunConfig().dimension is None
+
+    def test_unknown_counting_rejected(self):
+        with pytest.raises(ValidationError, match="counting mode"):
+            RunConfig(counting="half")
+
+    def test_unknown_dimension_rejected(self):
+        with pytest.raises(ValidationError, match="dimension"):
+            RunConfig(dimension="sideways")
+
+    @pytest.mark.parametrize("field, value, flag", [
+        ("focal_sc", "LIS", "--focal-sc"),
+        ("n_categories", 5, "--n-categories"),
+        ("classification", SAMPLE_PATHS["classification"], "--classification"),
+        ("journals", SAMPLE_PATHS["journals"], "--journals"),
+        ("citations", SAMPLE_PATHS["citations"], "--citations"),
+    ])
+    def test_scores_reject_corpus_inputs(self, tmp_path, field, value, flag):
+        scores = write_scores(tmp_path, [("a", 1.0, 2.0), ("b", 2.0, 1.0)])
+        with pytest.raises(ValidationError, match=flag):
+            RunConfig(scores=scores, **{field: value})
