@@ -27,8 +27,9 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--citations", type=Path, help="citations.csv")
     parser.add_argument("--n-categories", type=int, default=None,
                         help="override the number of possible SCs used for the maximum entropy")
-    parser.add_argument("--counting", choices=["whole", "fractional"], default="whole",
-                        help="attribution of citations to a multi-SC partner's categories")
+    parser.add_argument("--counting", choices=["whole", "fractional"], default=None,
+                        help="attribution of citations to a multi-SC partner's categories "
+                             "(default: whole)")
     parser.add_argument("--out", dest="out_dir", metavar="OUT", type=Path, default=Path("."),
                         help="output directory")
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")

@@ -19,6 +19,7 @@ import codecs
 import csv
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -199,16 +200,18 @@ MAX_COUNT = 2**53
 Source = str | Path | IO[str]
 
 
-def read_csv(source: Source, required: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line, cells)`` for every data row of a CSV path or text stream.
+@contextmanager
+def _open_table(
+    source: Source, required: tuple[str, ...],
+) -> Iterator[tuple[Iterator[list[str]], list[int], int]]:
+    """Open a CSV path or text stream and check its header: ``(reader, columns, width)``.
 
-    ``cells`` holds the ``required`` columns in that order, whitespace-stripped.
-    Header names are compared without surrounding whitespace or a BOM; each
-    required column must appear once, and other columns are ignored. Blank
-    lines are skipped, missing trailing cells read as empty, and a non-empty
-    cell beyond the header is an error. A file that cannot be opened, decoded
-    as UTF-8 or parsed as CSV raises :class:`LoadError` naming the file and,
-    where known, the line.
+    ``columns`` are the header positions of the ``required`` names and
+    ``width`` is the header's number of cells. Header names are compared
+    without surrounding whitespace or a BOM; each required column must appear
+    once. A file that cannot be opened, decoded as UTF-8 or parsed as CSV,
+    also while the body reads the rows, raises :class:`LoadError` naming the
+    file and, where known, the line.
     """
     if hasattr(source, "read"):
         handle = source
@@ -226,13 +229,7 @@ def read_csv(source: Source, required: tuple[str, ...]) -> Iterator[tuple[int, l
         repeated = [name for name in required if header.count(name) > 1]
         if repeated:
             raise LoadError(f"repeated column(s): {', '.join(repeated)}", path=source, line=1)
-        columns = [header.index(name) for name in required]
-        width = len(header)
-        for row in reader:
-            if len(row) > width and any(row[width:]):
-                raise LoadError("row has more cells than the header", path=source, line=reader.line_num)
-            if row:
-                yield reader.line_num, [row[i].strip() if i < len(row) else "" for i in columns]
+        yield reader, [header.index(name) for name in required], len(header)
     except (OSError, csv.Error) as exc:
         raise LoadError(str(exc), path=source, line=reader.line_num or None) from exc
     except UnicodeDecodeError as exc:
@@ -240,6 +237,36 @@ def read_csv(source: Source, required: tuple[str, ...]) -> Iterator[tuple[int, l
     finally:
         if handle is not source:
             handle.close()
+
+
+def _row_cells(
+    row: list[str], columns: list[int], width: int, source: Source, line: int,
+) -> list[str] | None:
+    """The ``columns`` of one parsed row, whitespace-stripped; None for a blank line.
+
+    Missing trailing cells read as empty, and a non-empty cell beyond the
+    header's ``width`` is an error.
+    """
+    if len(row) > width and any(row[width:]):
+        raise LoadError("row has more cells than the header", path=source, line=line)
+    return [row[i].strip() if i < len(row) else "" for i in columns] if row else None
+
+
+def read_csv(source: Source, required: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, cells)`` for every data row of a CSV path or text stream.
+
+    ``cells`` holds the ``required`` columns in that order, whitespace-stripped
+    (:func:`_row_cells`); other columns are ignored and blank lines skipped.
+    The header and every error are those of :func:`_open_table`.
+    """
+    with _open_table(source, required) as (reader, columns, width):
+        for row in reader:
+            if len(row) == width:
+                yield reader.line_num, [row[i].strip() for i in columns]
+            else:
+                cells = _row_cells(row, columns, width, source, reader.line_num)
+                if cells is not None:
+                    yield reader.line_num, cells
 
 
 def _undecodable_line(source: Source) -> int | None:
@@ -350,6 +377,21 @@ def load_classification(
     return Corpus(sc_registry=sc_registry, journals=journals, citations={}, n_categories=n)
 
 
+def _citation(
+    cells: list[str], known: dict[str, str], path: Source, line: int,
+) -> tuple[str, str, Dimension, int]:
+    """One citation row's stripped cells by the strict rules: (focal, partner, dimension, count)."""
+    focal, partner, dimension_cell, count_cell = cells
+    for journal_id in (focal, partner):
+        if journal_id not in known:
+            raise LoadError(f"unknown journal id {journal_id!r}", path=path, line=line)
+    try:
+        dimension = Dimension.parse(dimension_cell)
+    except ValidationError as exc:
+        raise LoadError(str(exc), path=path, line=line) from None
+    return known[focal], known[partner], dimension, parse_count(count_cell, path, line)
+
+
 def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
     """Attach citation counts to an already-classified corpus.
 
@@ -357,32 +399,46 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
     into a copy of the existing counts, so per-year export files can be loaded
     one after another. Each partner map is sorted by partner id, which makes
     loading independent of input row order. Ids are stored as the journal
-    registry's own strings, one object per journal. Canonical dimension and
-    count cells are read directly; any other cell goes through
-    :meth:`Dimension.parse` or :func:`parse_count`, which accept or reject it.
+    registry's own strings, one object per journal.
+
+    When the header is exactly :data:`CITATION_FIELDS`, a row of four cells is
+    first read as the CSV parser gives it: known ids, ``CITED`` or ``CITING``
+    and a count of at most 15 ASCII digits are taken as they are. Any other
+    row, or a row with any other cell, is stripped and judged by the strict
+    rules of :func:`read_csv`, :meth:`Dimension.parse` and :func:`parse_count`,
+    so both paths load the same counts and raise the same errors.
     """
     known = {journal_id: journal_id for journal_id in corpus.journals}
     dimensions = {dimension.value: dimension for dimension in Dimension}
     citations = {key: dict(partners) for key, partners in corpus.citations.items()}
-    for line, (focal, partner, dimension_cell, count_cell) in read_csv(citation_file, CITATION_FIELDS):
-        focal_id = known.get(focal)
-        partner_id = known.get(partner)
-        if focal_id is None or partner_id is None:
-            unknown = focal if focal_id is None else partner
-            raise LoadError(f"unknown journal id {unknown!r}", path=citation_file, line=line)
-        dimension = dimensions.get(dimension_cell)
-        if dimension is None:
-            try:
-                dimension = Dimension.parse(dimension_cell)
-            except ValidationError as exc:
-                raise LoadError(str(exc), path=citation_file, line=line) from None
-        # up to 15 digits stay below MAX_COUNT; parse_count judges every other cell
-        if count_cell.isdigit() and count_cell.isascii() and len(count_cell) <= 15:
-            count = int(count_cell)
-        else:
-            count = parse_count(count_cell, citation_file, line)
-        partners = citations.setdefault((focal_id, dimension), {})
-        partners[partner_id] = partners.get(partner_id, 0) + count
+    with _open_table(citation_file, CITATION_FIELDS) as (reader, columns, width):
+        raw = columns == list(range(width))  # the header is CITATION_FIELDS, in order
+        for row in reader:
+            if raw and len(row) == width:
+                focal, partner, dimension_cell, count_cell = row
+                focal_id = known.get(focal)
+                partner_id = known.get(partner)
+                dimension = dimensions.get(dimension_cell)
+                # up to 15 digits stay below MAX_COUNT
+                if (focal_id is None or partner_id is None or dimension is None
+                        or not (count_cell.isdigit() and count_cell.isascii() and len(count_cell) <= 15)):
+                    focal_id, partner_id, dimension, count = _citation(
+                        [cell.strip() for cell in row], known, citation_file, reader.line_num
+                    )
+                else:
+                    count = int(count_cell)
+            else:
+                cells = _row_cells(row, columns, width, citation_file, reader.line_num)
+                if cells is None:
+                    continue
+                focal_id, partner_id, dimension, count = _citation(
+                    cells, known, citation_file, reader.line_num
+                )
+            key = (focal_id, dimension)
+            partners = citations.get(key)
+            if partners is None:
+                partners = citations[key] = {}
+            partners[partner_id] = partners.get(partner_id, 0) + count
     for key, partners in citations.items():
         citations[key] = dict(sorted(partners.items()))
 

@@ -33,13 +33,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .corpus import Corpus, CountingMode, Dimension
 from .errors import ComputationError, NoCitationsError, ValidationError
 
 #: Tolerance for internal consistency checks on derived quantities.
 _CHECK_TOL = 1e-9
+#: enum members read for every profile, bound once: an enum's class attributes are slow to look up
+_DIMENSIONS = (Dimension.CITED, Dimension.CITING)  # in output order
+_FRACTIONAL = CountingMode.FRACTIONAL
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,8 @@ class CitationProfile:
     of the k SCs, so the values may sum to more than ``external_total``;
     under FRACTIONAL counting each SC receives count/k and the values sum to
     ``external_total`` up to rounding. Each value is the exact sum of its
-    shares, correctly rounded once.
+    shares, correctly rounded once; :func:`build_profile` gives WHOLE counts
+    as ints. The map's order is unspecified: the entropy does not depend on it.
     """
 
     unit_id: str
@@ -75,7 +79,7 @@ class CitationProfile:
             raise ComputationError("external_counts must hold strictly positive values")
         if self.focal_sc in self.external_counts:
             raise ComputationError("focal SC leaked into the external distribution")
-        if self.counting_mode is CountingMode.FRACTIONAL:
+        if self.counting_mode is _FRACTIONAL:
             attributed = math.fsum(self.external_counts.values())
             if abs(attributed - self.external_total) > _CHECK_TOL * max(1.0, self.external_total):
                 raise ComputationError(
@@ -127,18 +131,19 @@ def shannon_entropy(counts: Mapping[str, float]) -> float:
     H = -sum(p_i * ln(p_i)) with p_i = x_i / sum(x). Zero-count entries are
     excluded (0*ln(0) := 0); an empty distribution has entropy 0 by definition.
     """
-    values = [*counts.values()]
-    if not values:
-        return 0.0
-    low = min(values)
+    values: Collection[float] = counts.values()
+    low = min(values, default=1)
     if low < 0:
         raise ValidationError("entropy requires non-negative counts")
     if low == 0:
         values = [v for v in values if v != 0]
-        if not values:
-            return 0.0
+    return _entropy(values)
+
+
+def _entropy(values: Collection[float]) -> float:
+    """:func:`shannon_entropy` of strictly positive values, straight from the collection."""
     total = math.fsum(values)
-    ps = [v / total for v in values]
+    ps = list(map(total.__rtruediv__, values))  # v / total for each v
     # the +0.0 normalizes -0.0 away (single-category distributions)
     return -math.fsum(map(mul, ps, map(math.log, ps))) + 0.0
 
@@ -186,8 +191,9 @@ def build_profile(
     Internal edges add their count to ``internal_count``. External edges add
     their count once to ``external_total`` and distribute it over the
     partner's SCs according to ``counting_mode``. SCs that would receive a
-    zero count never appear in the map. Shares are summed as integers in units
-    of 1/L (L is :attr:`Corpus.membership_lcm`) and divided once at the end.
+    zero count never appear in the map. FRACTIONAL shares are summed as
+    integers in units of 1/L (L is :attr:`Corpus.membership_lcm`) and divided
+    once at the end; WHOLE counts are summed and kept as integers.
     """
     if focal_sc not in corpus.sc_registry:
         raise ValidationError(f"unknown sc_id {focal_sc!r}")
@@ -209,7 +215,7 @@ def build_profile(
     else:
         raise ValidationError(f"unknown unit {unit_id!r}")
 
-    fractional = counting_mode is CountingMode.FRACTIONAL
+    fractional = counting_mode is _FRACTIONAL
     scale = corpus.membership_lcm if fractional else 1
     internal = 0
     external_total = 0
@@ -229,14 +235,12 @@ def build_profile(
             for sc_id in partner_scs:
                 external[sc_id] = external.get(sc_id, 0) + share
 
+    # the fields in order: keyword arguments cost about 0.5 µs a record
     return CitationProfile(
-        unit_id=unit_id,
-        focal_sc=focal_sc,
-        dimension=dimension,
-        counting_mode=counting_mode,
-        internal_count=float(internal),
-        external_counts={sc_id: value / scale for sc_id, value in sorted(external.items())},
-        external_total=float(external_total),
+        unit_id, focal_sc, dimension, counting_mode, float(internal),
+        # fsum does not depend on order, so the map is neither sorted nor, when whole, copied
+        {sc_id: value / scale for sc_id, value in external.items()} if fractional else external,
+        float(external_total),
     )
 
 
@@ -283,7 +287,8 @@ def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
     Raises :class:`NoCitationsError` when the profile has no citations at all
     in its dimension; callers report that as a missing value, never as 0.
     """
-    if profile.total <= 0:
+    total = profile.total
+    if total <= 0:
         raise NoCitationsError(
             f"no citations in dimension {profile.dimension.value} for unit "
             f"{profile.unit_id!r} (focal SC {profile.focal_sc!r})"
@@ -291,20 +296,14 @@ def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
     if n_categories < 2:
         raise ValidationError("n_categories must be >= 2 (otherwise the maximum entropy is 0)")
     hmax = math.log(n_categories)
-    entropy = shannon_entropy(profile.external_counts)
+    entropy = _entropy(profile.external_counts.values())  # its values are positive
     pct_hmax = 100.0 * entropy / hmax  # pct_of_max_entropy, with the logarithm taken once
-    pct_internal = 100.0 * (profile.internal_count / profile.total)
+    pct_internal = 100.0 * (profile.internal_count / total)
+    # the fields in order: keyword arguments cost about 0.5 µs a record
     return EbdiScore(
-        unit_id=profile.unit_id,
-        focal_sc=profile.focal_sc,
-        dimension=profile.dimension,
-        pct_internal=pct_internal,
-        entropy=entropy,
-        hmax=hmax,
-        pct_hmax=pct_hmax,
-        ebdi=ebdi_value(pct_internal, pct_hmax),
-        raw_diversity=len(profile.external_counts),
-        external_total=profile.external_total,
+        profile.unit_id, profile.focal_sc, profile.dimension,
+        pct_internal, entropy, hmax, pct_hmax, ebdi_value(pct_internal, pct_hmax),
+        len(profile.external_counts), profile.external_total,
     )
 
 
@@ -321,7 +320,7 @@ def compute_journal_indicators(
     subject categories.
     """
     scores: list[EbdiScore | None] = []
-    for dimension in (Dimension.CITED, Dimension.CITING):
+    for dimension in _DIMENSIONS:
         profile = build_profile(corpus, unit_id, focal_sc, dimension, counting_mode)
         try:
             scores.append(compute_ebdi(profile, corpus.n_categories))

@@ -6,8 +6,8 @@ rows to the file as each unit is scored and returns their number; the other
 stages return the rows they wrote. The units a corpus stage scores come from
 one list, :func:`_units`, which also rejects an unknown focal SC; every unit
 is scored by :func:`~ebdi.metrics.compute_journal_indicators`. Every table
-goes through one streaming writer, :func:`_write_table`. Outputs are
-deterministic: row order is fixed (unit, SC, dimension), numbers are
+goes through one streaming writer, :func:`_write_table`, as tuples of cells
+in column order. Outputs are deterministic: row order is fixed (unit, SC, dimension), numbers are
 full-precision in JSON and rounded to the configured decimals in CSV, and no
 timestamps or environment details leak into any file. Each table ``<stem>``
 also gets its own ``<stem>.meta.json`` recording the parameters that shaped
@@ -26,9 +26,9 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import Corpus, CountingMode, Dimension, Source, load_corpus, parse_float, read_csv
 from .errors import LoadError, ValidationError
@@ -55,12 +55,18 @@ CORRELATION_COLUMNS = ("metric_x", "metric_y", "n", "rho", "p_two_tailed", "meth
 NETWORK_COLUMNS = ("source_sc", "target_sc", "weight")
 SCORES_COLUMNS = ("unit_id", "cited_ebdi", "citing_ebdi")
 
+#: CSV column kinds; a column in none of these sets holds text.
+#: float columns, rounded to the configured decimals
+_DECIMAL_COLUMNS = {
+    "pct_internal", "H", "Hmax", "pct_hmax", "ebdi", "cited_ebdi", "citing_ebdi",
+    "cited_threshold", "citing_threshold", "difference", "rho", "p_two_tailed",
+}
 #: integer-valued columns, emitted without decimals
 _INT_COLUMNS = {"sum_external", "raw_diversity", "n"}
 #: data-export columns kept at full precision even in CSV
 _RAW_COLUMNS = {"weight"}
 #: the inputs of a corpus run, which a run from precomputed scores neither reads nor records
-_CORPUS_INPUTS = ("classification", "journals", "citations", "focal_sc", "n_categories")
+_CORPUS_INPUTS = ("classification", "journals", "citations", "focal_sc", "n_categories", "counting")
 
 
 @dataclass
@@ -69,6 +75,8 @@ class RunConfig:
 
     Construction types and checks the inputs: ``counting`` and ``dimension``
     take the enum or the CLI's string, and a scores run takes no corpus input.
+    ``counting`` is WHOLE for a corpus run that does not set it, and stays None
+    for a scores run, whose precomputed values have no counting mode.
     """
 
     classification: Path | None = None
@@ -79,7 +87,7 @@ class RunConfig:
     focal_sc: str | None = None
     unit_type: str = "journal"  # "journal" or "discipline"
     n_categories: int | None = None
-    counting: CountingMode = CountingMode.WHOLE
+    counting: CountingMode | None = None
     dimension: Dimension | None = None
     top_k: int | None = None
     out_dir: Path = field(default_factory=lambda: Path("."))
@@ -87,7 +95,8 @@ class RunConfig:
     decimals: int = 2
 
     def __post_init__(self) -> None:
-        self.counting = CountingMode.parse(self.counting)
+        if self.counting is not None:
+            self.counting = CountingMode.parse(self.counting)
         if self.dimension is not None:
             self.dimension = Dimension.parse(self.dimension)
         if self.scores is not None:
@@ -95,6 +104,8 @@ class RunConfig:
                      if getattr(self, name) is not None]
             if given:
                 raise ValidationError(f"--scores replaces the corpus; drop {', '.join(given)}")
+        elif self.counting is None:
+            self.counting = CountingMode.WHOLE
         if self.fmt not in ("csv", "json"):
             raise ValidationError(f"unknown output format {self.fmt!r}")
         if not 0 <= self.decimals <= 20:  # a double has 17 significant digits; JSON keeps all
@@ -117,18 +128,22 @@ def _load_corpus(config: RunConfig) -> Corpus:
     return load_corpus(*paths.values(), n_categories=config.n_categories)
 
 
-def _csv_cell(column: str, value: object, decimals: int) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if column in _RAW_COLUMNS:
-        if float(value).is_integer():
-            return str(int(value))
-        return repr(float(value))
-    if column in _INT_COLUMNS or isinstance(value, int):
-        return str(int(round(float(value))))
-    return f"{float(value):.{decimals}f}"
+def _whole_number(value: float) -> str:
+    return str(round(float(value)))
+
+
+def _full_precision(value: float) -> str:
+    return str(int(value)) if float(value).is_integer() else repr(float(value))
+
+
+def _csv_formats(columns: Sequence[str], decimals: int) -> list[Callable[[object], str]]:
+    """The CSV formatter of each column, from its kind; the writer leaves None cells empty."""
+    kinds = {
+        **dict.fromkeys(_DECIMAL_COLUMNS, f"{{:.{decimals}f}}".format),
+        **dict.fromkeys(_INT_COLUMNS, _whole_number),
+        **dict.fromkeys(_RAW_COLUMNS, _full_precision),
+    }
+    return [kinds.get(column, str) for column in columns]
 
 
 def _json_text(value: object, indent: int) -> str:
@@ -145,56 +160,55 @@ _json_row = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": "))
 
 
 def _write_table(
-    config: RunConfig, stem: str, columns: Sequence[str], rows: Iterable[Mapping[str, object]],
+    config: RunConfig, stem: str, columns: Sequence[str], rows: Iterable[Sequence[object]],
     command: str, corpus: Corpus | None, **extra: object,
 ) -> tuple[int, dict[str, object]]:
-    """Stream ``rows`` to ``<stem>.csv|json``, write ``<stem>.meta.json``, log them.
+    """Stream ``rows``, each a sequence of cells in ``columns`` order, to ``<stem>.csv|json``.
 
-    Returns the number of rows written and the meta. The meta does not depend
-    on the rows, so a JSON table opens with it and then takes each row as it
-    comes; the bytes equal ``json.dump({"meta": meta, "rows": rows}, indent=2)``
+    Also writes ``<stem>.meta.json`` and logs both; returns the number of rows
+    written and the meta. CSV cells go through one formatter per column
+    (:func:`_csv_formats`) to the C writer; JSON cells keep full precision.
+    The meta does not depend on the rows, so a JSON table opens with it and
+    then takes each row as it comes; the bytes equal
+    ``json.dump({"meta": meta, "rows": [dict(zip(columns, row)), ...]}, indent=2)``
     as long as every cell is a scalar, as in every table here. The table is
     written to ``<name>.partial`` and renamed once complete, so an error while
     the rows are computed leaves no truncated table behind.
     """
     meta: dict[str, object] = {
         "command": command,
-        "counting_mode": config.counting.value,
+        "counting_mode": None if config.counting is None else config.counting.value,
         "n_categories": corpus.n_categories if corpus is not None else None,
         "focal_sc": config.focal_sc,
         "format": config.fmt,
         "decimals": config.decimals,
         **extra,
     }
-    if config.fmt == "csv":
-        # csv.writer returns what its file's write returns: with str, the formatted line
-        line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-        head, separator, tails = line(columns), "", ("", "")  # tails: (no rows, some rows)
-        decimals = config.decimals
-
-        def encode(row: Mapping[str, object]) -> str:
-            return line([_csv_cell(col, row.get(col), decimals) for col in columns])
-    else:
-        head = '{\n  "meta": ' + _json_text(meta, 2) + ',\n  "rows": ['
-        separator, tails = ",", ("]\n}\n", "\n  ]\n}\n")
-
-        def encode(row: Mapping[str, object]) -> str:
-            # a row's cells are scalars, so its only line breaks are the item separators
-            return "\n    {\n      " + _json_row(row)[1:-1] + "\n    }" if row else "\n    {}"
-
     config.out_dir.mkdir(parents=True, exist_ok=True)
     path = config.out_dir / f"{stem}.{config.fmt}"
     partial = path.with_name(path.name + ".partial")
     count = 0
     try:
         with partial.open("w", encoding="utf-8", newline="") as handle:
-            handle.write(head)
-            for row in rows:
-                if count:
-                    handle.write(separator)
-                handle.write(encode(row))
-                count += 1
-            handle.write(tails[count > 0])
+            if config.fmt == "csv":
+                formats = _csv_formats(columns, config.decimals)
+
+                def cells(row: Sequence[object]) -> list[object]:
+                    nonlocal count
+                    count += 1
+                    return [cell if cell is None else form(cell) for form, cell in zip(formats, row)]
+
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows(map(cells, rows))
+            else:
+                handle.write('{\n  "meta": ' + _json_text(meta, 2) + ',\n  "rows": [')
+                for row in rows:
+                    # a row's cells are scalars, so its only line breaks are the item separators
+                    body = "{\n      " + _json_row(dict(zip(columns, row)))[1:-1] + "\n    }" if row else "{}"
+                    handle.write((",\n    " if count else "\n    ") + body)
+                    count += 1
+                handle.write("\n  ]\n}\n" if count else "]\n}\n")
         partial.replace(path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -287,23 +301,20 @@ def run_indicators(config: RunConfig) -> int:
     corpus = _load_corpus(config)
     units = _units(config, corpus, every_membership=True)
     missing = 0
+    no_score = (None,) * (len(INDICATOR_COLUMNS) - 3)  # a missing dimension keeps None cells
+    dimensions = (Dimension.CITED.value, Dimension.CITING.value)
 
-    def rows() -> Iterator[dict[str, object]]:
+    def rows() -> Iterator[tuple[object, ...]]:
         nonlocal missing
         for unit, sc_id in units:
             scores = compute_journal_indicators(corpus, unit, sc_id, config.counting)
-            for dimension, score in zip((Dimension.CITED, Dimension.CITING), scores):
-                row = dict.fromkeys(INDICATOR_COLUMNS)  # a missing dimension keeps None cells
-                row.update(unit_id=unit, focal_sc=sc_id, dimension=dimension.value)
+            for dimension, score in zip(dimensions, scores):
                 if score is None:
                     missing += 1
+                    yield (unit, sc_id, dimension) + no_score
                 else:
-                    row.update(
-                        pct_internal=score.pct_internal, sum_external=score.external_total,
-                        H=score.entropy, Hmax=score.hmax, pct_hmax=score.pct_hmax,
-                        ebdi=score.ebdi, raw_diversity=score.raw_diversity,
-                    )
-                yield row
+                    yield (unit, sc_id, dimension, score.pct_internal, score.external_total,
+                           score.entropy, score.hmax, score.pct_hmax, score.ebdi, score.raw_diversity)
 
     count, _ = _write_table(config, "indicators", INDICATOR_COLUMNS, rows(), "indicators", corpus)
     if missing:
@@ -377,7 +388,7 @@ def run_roles(config: RunConfig) -> dict[str, object]:
                     len(pairs) - len(classified))
 
     _, meta = _write_table(
-        config, "roles", columns, rows, "roles", corpus,
+        config, "roles", columns, map(itemgetter(*columns), rows), "roles", corpus,
         unit_type=config.unit_type,
         cited_threshold=thresholds[Dimension.CITED],
         citing_threshold=thresholds[Dimension.CITING],
@@ -417,10 +428,11 @@ def run_correlations(config: RunConfig) -> list[dict[str, object]]:
         except ValidationError as exc:
             log.warning("skipping pair (%s, %s): %s", x.metric_name, y.metric_name, exc)
             continue
-        rows.append(asdict(result))  # its fields are CORRELATION_COLUMNS, in order
+        rows.append(asdict(result))  # its fields are CORRELATION_COLUMNS
 
     _write_table(
-        config, "correlations", CORRELATION_COLUMNS, rows, "correlate", corpus,
+        config, "correlations", CORRELATION_COLUMNS, map(itemgetter(*CORRELATION_COLUMNS), rows),
+        "correlate", corpus,
         metrics_file=str(config.metrics),
     )
     return rows
@@ -465,7 +477,7 @@ def export_sc_network(config: RunConfig) -> list[dict[str, object]]:
     rows.sort(key=lambda row: (-float(row["weight"]), row["source_sc"], row["target_sc"]))
 
     _write_table(
-        config, "sc_network", NETWORK_COLUMNS, rows, "network", corpus,
+        config, "sc_network", NETWORK_COLUMNS, map(itemgetter(*NETWORK_COLUMNS), rows), "network", corpus,
         dimension=config.dimension.value, top_k=config.top_k,
     )
     return rows

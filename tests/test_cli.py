@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,56 @@ def test_internal_error_exits_2(tmp_path, corpus_paths, monkeypatch):
     assert code == 2
 
 
+@pytest.fixture
+def three_external_scs(tmp_path):
+    """Z9 (SC F) cites journals of three other SCs, and each of them cites Z9 back."""
+    return write_corpus_files(
+        tmp_path,
+        sc_rows=[("F", "Focal", ""), ("A", "A", ""), ("B", "B", ""), ("C", "C", "")],
+        journal_rows=[("Z9", "Last", "F"), ("JA", "A J", "A"), ("JB", "B J", "B"), ("JC", "C J", "C")],
+        citation_rows=[
+            ("Z9", "JA", "CITED", 3), ("Z9", "JB", "CITED", 2), ("Z9", "JC", "CITED", 1),
+            ("JA", "Z9", "CITING", 4), ("JB", "Z9", "CITING", 4), ("JC", "Z9", "CITING", 4),
+        ],
+    )
+
+
+def test_pct_hmax_above_100_exits_1(tmp_path, three_external_scs, caplog, monkeypatch):
+    import ebdi.metrics as metrics_module
+
+    out = tmp_path / "out"
+    argv = ["indicators", *corpus_args(three_external_scs), "--n-categories", "2", "--out", str(out)]
+    # the load refuses an n_categories below the SCs in use, so H <= ln(n - 1) for real input
+    assert main(argv) == 1
+    assert "n_categories=2 is below the 4 distinct SCs" in caplog.text
+    # a kernel that gives Z9's three external SCs more than ln(4) nats reaches ebdi_value's bound
+    entropy = metrics_module._entropy
+    monkeypatch.setattr(metrics_module, "_entropy",
+                        lambda values: 2.0 if len(values) == 3 else entropy(values))
+    caplog.clear()
+    assert main(argv[:-4] + ["--out", str(out)]) == 1
+    assert "pct_hmax must lie in [0, 100]" in caplog.text
+    assert not list(out.iterdir())
+
+
+def test_out_of_range_entropy_exits_2_and_leaves_no_table(tmp_path, three_external_scs, caplog,
+                                                          monkeypatch):
+    import ebdi.metrics as metrics_module
+
+    # JA, JB and JC score first; Z9's three external SCs get 0.01 nats above ln(3)
+    entropy = metrics_module._entropy
+    monkeypatch.setattr(metrics_module, "_entropy",
+                        lambda values: math.log(3) + 0.01 if len(values) == 3 else entropy(values))
+    out = tmp_path / "out"
+    for fmt in ("csv", "json"):
+        caplog.clear()
+        code = main(["indicators", *corpus_args(three_external_scs), "--format", fmt,
+                     "--out", str(out)])
+        assert code == 2
+        assert "entropy outside [0, ln(raw_diversity)]" in caplog.text
+        assert not list(out.iterdir())
+
+
 def test_n_categories_override_recorded(tmp_path, corpus_paths):
     out = tmp_path / "out"
     code = main(["indicators", *corpus_args(corpus_paths), "--n-categories", "53",
@@ -257,6 +308,8 @@ def sample_scores(tmp_path):
     ("roles", ["--citations", str(SAMPLE / "citations.csv")]),
     ("correlate", ["--classification", str(SAMPLE / "subject_categories.csv"),
                    "--journals", str(SAMPLE / "journals.csv")]),
+    ("roles", ["--counting", "whole"]),
+    ("correlate", ["--counting", "fractional"]),
 ])
 def test_corpus_flag_beside_scores_exits_1(tmp_path, caplog, command, flags):
     # precomputed scores replace the corpus, so its flags would be recorded but ignored
@@ -290,14 +343,15 @@ SHARED_META = {"n_categories": 40, "counting_mode": "fractional", "format": "jso
      {**SHARED_META, "focal_sc": None, "unit_type": "discipline"}),
     ("roles", "roles", ["--scores", "SCORES", "--unit-type", "discipline", "--format", "json",
                         "--decimals", "5"],
-     {"n_categories": None, "format": "json", "decimals": 5, "focal_sc": None,
-      "unit_type": "discipline"}),
+     {"n_categories": None, "counting_mode": None, "format": "json", "decimals": 5,
+      "focal_sc": None, "unit_type": "discipline"}),
     ("correlate", "correlations",
      [*SAMPLE_CORPUS, *SHARED_FLAGS, "--focal-sc", "LIS", "--metrics", "METRICS"],
      {**SHARED_META, "focal_sc": "LIS", "metrics_file": "METRICS"}),
     ("correlate", "correlations",
      ["--scores", "SCORES", "--metrics", "METRICS", "--format", "json", "--decimals", "5"],
-     {"n_categories": None, "format": "json", "decimals": 5, "metrics_file": "METRICS"}),
+     {"n_categories": None, "counting_mode": None, "format": "json", "decimals": 5,
+      "metrics_file": "METRICS"}),
     ("network", "sc_network",
      [*SAMPLE_CORPUS, *SHARED_FLAGS, "--dimension", "citing", "--top-k", "2"],
      {**SHARED_META, "focal_sc": None, "dimension": "CITING", "top_k": 2}),

@@ -217,6 +217,73 @@ def test_row_fast_path_agrees_with_the_strict_parsers(tmp_path):
         load_corpus(*registry, messy)
 
 
+CITATION_HEADER = ("focal_journal_id", "partner_journal_id", "dimension", "count")
+#: valid rows: some the raw-row load takes as they are, some it hands to the strict parsers
+GOOD_CITATIONS = [
+    ("JINF", "QMIS", "CITED", "120"),
+    ("JINF", "ARIS", "cited", "007"),
+    ("QMIS", "JINF", "CITING", "0"),
+    ("ARIS", "JINF", "CITING", "1000000000000000"),
+    ("ISJX", "ARIS", "CITED", str(2**53)),
+    ("JINF", "QMIS", "CITED", "3"),
+]
+#: one bad row each, and the start of the message it gets
+BAD_CITATIONS = [
+    (("NOPE", "QMIS", "CITED", "1"), "unknown journal id 'NOPE'"),
+    (("JINF", "NOPE", "CITED", "1"), "unknown journal id 'NOPE'"),
+    (("JINF", "QMIS", "SIDEWAYS", "1"), "unparseable dimension 'SIDEWAYS'"),
+    (("JINF", "QMIS", "CITED", "-3"), "negative citation count"),
+    (("JINF", "QMIS", "CITED", "1 2"), "invalid count '1 2'"),
+    (("JINF", "QMIS", "CITED", str(2**53 + 1)), "count exceeds 2**53"),
+    (("JINF", "QMIS", "CITED", ""), "invalid count ''"),
+    (("JINF", "QMIS", "", ""), "unparseable dimension ''"),
+]
+
+
+def citation_text(lines, newline="\n") -> str:
+    return "".join(",".join(cells) + newline for cells in lines)
+
+
+#: the citation file (header line first) in each layout the loader must read like the clean one
+CITATION_LAYOUTS = {
+    "trailing empty cell": lambda lines: citation_text([lines[0], *((*row, "") for row in lines[1:])]),
+    "short row": lambda lines: "".join(",".join(row).rstrip(",") + "\n" for row in lines),
+    "quoted cells": lambda lines: citation_text([[f'"{cell}"' for cell in row] for row in lines]),
+    "padded cells": lambda lines: citation_text([[f" {cell}\t" for cell in row] for row in lines]),
+    "permuted header": lambda lines: citation_text([row[::-1] for row in lines]),
+    "extra column": lambda lines: citation_text([(*lines[0], "note"), *((*row, '"x, y"') for row in lines[1:])]),
+    "BOM": lambda lines: "\ufeff" + citation_text(lines),
+    "CRLF": lambda lines: citation_text(lines, "\r\n"),
+}
+
+
+@pytest.mark.parametrize("layout", CITATION_LAYOUTS)
+def test_raw_row_load_reads_every_layout_like_a_clean_twin(tmp_path, layout):
+    """Rows the raw-row load takes and rows it strips load alike, and fail alike."""
+    registry = [SAMPLE / "subject_categories.csv", SAMPLE / "journals.csv"]
+    path = tmp_path / "citations.csv"
+
+    def load(text):
+        path.write_text(text, encoding="utf-8", newline="")
+        return load_corpus(*registry, path)
+
+    lines = [CITATION_HEADER, *GOOD_CITATIONS]
+    clean, twin = load(citation_text(lines)), load(CITATION_LAYOUTS[layout](lines))
+    assert clean.citations == twin.citations
+    assert [(key, list(partners)) for key, partners in clean.citations.items()] == [
+        (key, list(partners)) for key, partners in twin.citations.items()
+    ]
+    for bad, message in BAD_CITATIONS:
+        lines = [CITATION_HEADER, *GOOD_CITATIONS[:3], bad, *GOOD_CITATIONS[3:]]
+        errors = []
+        for text in (citation_text(lines), CITATION_LAYOUTS[layout](lines)):
+            with pytest.raises(LoadError) as caught:
+                load(text)
+            errors.append(str(caught.value))
+        assert errors[0].startswith(f"{path}:5: {message}")
+        assert errors[1] == errors[0]
+
+
 @pytest.mark.parametrize("value", ["1_0", "١٢", "nan", "-inf", "1e999", "0x10"])
 def test_metric_value_must_be_a_finite_decimal(value):
     text = f"journal_id,metric_name,value\nJ1,impact,{value}\n"

@@ -88,6 +88,18 @@ def test_entropy_has_the_reference_bits(counts):
     assert math.copysign(1.0, h) == math.copysign(1.0, want)
 
 
+@given(counts=entropy_counts, seed=st.integers(0, 2**32 - 1))
+def test_entropy_does_not_depend_on_the_order_of_the_counts(counts, seed):
+    # build_profile leaves the external map unsorted, in the iteration order of frozensets
+    items = list(counts.items())
+    random.Random(seed).shuffle(items)
+    try:
+        want = shannon_entropy(counts)
+    except ValueError:
+        return
+    assert shannon_entropy(dict(items)) == want
+
+
 class TestPctOfMaxEntropy:
     def test_zero_entropy(self):
         assert pct_of_max_entropy(0.0, 10) == 0.0

@@ -23,7 +23,8 @@ from ebdi import (
 import ebdi.metrics as metrics_module
 import ebdi.report as report_module
 from ebdi.report import (
-    INDICATOR_COLUMNS, RunConfig, export_sc_network, run_correlations, run_indicators, run_roles,
+    CORRELATION_COLUMNS, INDICATOR_COLUMNS, NETWORK_COLUMNS, ROLES_DISCIPLINE_COLUMNS,
+    ROLES_JOURNAL_COLUMNS, RunConfig, export_sc_network, run_correlations, run_indicators, run_roles,
 )
 from ebdi.svg import scatter_svg
 from conftest import write_corpus_files
@@ -275,12 +276,22 @@ class TestStreamedIndicators:
         assert peaks[1] - peaks[0] < 100_000
 
 
+@st.composite
+def scalar_tables(draw):
+    """Any column names and rows of scalar cells, one cell per column."""
+    columns = draw(st.lists(st.text(max_size=6), unique=True, max_size=5))
+    cell = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
+    return tuple(columns), draw(st.lists(st.tuples(*[cell] * len(columns)), max_size=4))
+
+
 class TestWriteTable:
+    """``_write_table`` takes each row as a sequence of cells in column order."""
+
     COLUMNS = ("unit_id", "H", "n", "note")
-    ONE = {"unit_id": "J1", "H": 0.25, "n": 3, "note": "x"}
-    NON_ASCII = {"unit_id": "Zeitschrift für Ökologie «Ω»", "H": 1.0, "n": 1, "note": 'say "hi"'}
-    NONE_CELLS = {"unit_id": "J3", "H": None, "n": None, "note": None}
-    SEVENTEEN_DIGITS = {"unit_id": "J4", "H": 1.1 * 1.1, "n": 0, "note": "line\nbreak"}  # 1.2100000000000002
+    ONE = ("J1", 0.25, 3, "x")
+    NON_ASCII = ("Zeitschrift für Ökologie «Ω»", 1.0, 1, 'say "hi"')
+    NONE_CELLS = ("J3", None, None, None)
+    SEVENTEEN_DIGITS = ("J4", 1.1 * 1.1, 0, "line\nbreak")  # 1.2100000000000002
 
     @pytest.mark.parametrize("rows", [
         [], [ONE], [NON_ASCII], [NONE_CELLS], [SEVENTEEN_DIGITS],
@@ -294,22 +305,21 @@ class TestWriteTable:
         assert count == len(rows)
         dump = lambda value: json.dumps(value, indent=2, ensure_ascii=False) + "\n"
         text = (tmp_path / "t.json").read_text(encoding="utf-8")
-        assert text == dump({"meta": meta, "rows": rows})
-        assert json.loads(text)["rows"] == rows
+        dicts = [dict(zip(self.COLUMNS, row)) for row in rows]
+        assert text == dump({"meta": meta, "rows": dicts})
+        assert json.loads(text)["rows"] == dicts
         assert (tmp_path / "t.meta.json").read_text(encoding="utf-8") == dump(meta)
 
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(rows=st.lists(st.dictionaries(
-        keys=st.text(max_size=6),
-        values=st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
-        max_size=5,
-    ), max_size=4))
-    def test_streamed_json_equals_one_dump_for_any_scalar_cells(self, tmp_path, rows):
+    @given(table=scalar_tables())
+    def test_streamed_json_equals_one_dump_for_any_scalar_cells(self, tmp_path, table):
+        columns, rows = table
         count, meta = report_module._write_table(
-            RunConfig(out_dir=tmp_path, fmt="json"), "t", self.COLUMNS, iter(rows), "cmd", None
+            RunConfig(out_dir=tmp_path, fmt="json"), "t", columns, iter(rows), "cmd", None
         )
         assert count == len(rows)
-        expected = json.dumps({"meta": meta, "rows": rows}, indent=2, ensure_ascii=False) + "\n"
+        dicts = [dict(zip(columns, row)) for row in rows]
+        expected = json.dumps({"meta": meta, "rows": dicts}, indent=2, ensure_ascii=False) + "\n"
         assert (tmp_path / "t.json").read_text(encoding="utf-8") == expected
 
     def test_streamed_csv_equals_csv_writer(self, tmp_path):
@@ -321,7 +331,7 @@ class TestWriteTable:
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerows([
-            self.COLUMNS, ["J1", "0.250", "3", "x"], [self.NON_ASCII["unit_id"], "1.000", "1", 'say "hi"'],
+            self.COLUMNS, ["J1", "0.250", "3", "x"], [self.NON_ASCII[0], "1.000", "1", 'say "hi"'],
             ["J3", "", "", ""], ["J4", "1.210", "0", "line\nbreak"],
         ])
         assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == expected.getvalue()
@@ -337,6 +347,79 @@ class TestWriteTable:
                 RunConfig(out_dir=tmp_path, fmt=fmt), "t", self.COLUMNS, rows(), "cmd", None
             )
         assert list(tmp_path.iterdir()) == []
+
+
+def reference_csv_cell(column, value, decimals):
+    """One CSV cell by the rules the table writer once applied to every cell in turn."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if column in {"weight"}:
+        if float(value).is_integer():
+            return str(int(value))
+        return repr(float(value))
+    if column in {"sum_external", "raw_diversity", "n"} or isinstance(value, int):
+        return str(int(round(float(value))))
+    return f"{float(value):.{decimals}f}"
+
+
+#: ids that need CSV quoting, and any other text
+TEXT_CELLS = st.one_of(
+    st.sampled_from(["J,1", 'say "hi"', '"quoted"', "a,\"b\",c", "line\nbreak", " padded ", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+#: the numeric cells of every table, as the stages hold them; any other column holds text
+NUMBER_CELLS = {
+    **dict.fromkeys(
+        ["pct_internal", "H", "Hmax", "pct_hmax", "ebdi", "cited_ebdi", "citing_ebdi",
+         "cited_threshold", "citing_threshold", "difference", "rho", "p_two_tailed"],
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    # raw citation totals, and totals on a rounding tie
+    "sum_external": st.one_of(
+        st.integers(0, 2**53).map(float), st.integers(0, 2**40).map(lambda k: k + 0.5),
+    ),
+    "raw_diversity": st.integers(0, 300),
+    "n": st.integers(3, 10**6),
+    "weight": st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 2**53).map(float),
+    ),
+}
+TABLES = {
+    "indicators": INDICATOR_COLUMNS,
+    "roles-journal": ROLES_JOURNAL_COLUMNS,
+    "roles-discipline": ROLES_DISCIPLINE_COLUMNS,
+    "correlations": CORRELATION_COLUMNS,
+    "sc_network": NETWORK_COLUMNS,
+}
+
+
+@pytest.mark.parametrize("decimals", [0, 2, 20])
+@pytest.mark.parametrize("columns", TABLES.values(), ids=TABLES.keys())
+@settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_table_cells_follow_the_per_cell_rules(tmp_path, columns, decimals, data):
+    """Each column's one formatter writes what the per-cell rules wrote; JSON keeps every bit."""
+    row = st.tuples(*(st.none() | NUMBER_CELLS.get(column, TEXT_CELLS) for column in columns))
+    # a missing dimension: every number None
+    missing = st.tuples(*(st.none() if column in NUMBER_CELLS else TEXT_CELLS for column in columns))
+    rows = data.draw(st.lists(row | missing, max_size=6))
+    for fmt in ("csv", "json"):
+        config = RunConfig(out_dir=tmp_path, fmt=fmt, decimals=decimals)
+        count, meta = report_module._write_table(config, "t", columns, iter(rows), "cmd", None)
+        assert count == len(rows)
+        if fmt == "csv":
+            expected = io.StringIO()
+            csv.writer(expected, lineterminator="\n").writerows([columns, *(
+                [reference_csv_cell(column, cell, decimals) for column, cell in zip(columns, row)]
+                for row in rows
+            )])
+            expected = expected.getvalue()
+        else:
+            dicts = [dict(zip(columns, row)) for row in rows]
+            expected = json.dumps({"meta": meta, "rows": dicts}, indent=2, ensure_ascii=False) + "\n"
+        assert (tmp_path / f"t.{fmt}").read_bytes().decode("utf-8") == expected
 
 
 class TestOneProfilePerUnitDimension:
@@ -858,6 +941,7 @@ class TestRunConfigValidation:
         ("classification", SAMPLE_PATHS["classification"], "--classification"),
         ("journals", SAMPLE_PATHS["journals"], "--journals"),
         ("citations", SAMPLE_PATHS["citations"], "--citations"),
+        ("counting", "whole", "--counting"),
     ])
     def test_scores_reject_corpus_inputs(self, tmp_path, field, value, flag):
         scores = write_scores(tmp_path, [("a", 1.0, 2.0), ("b", 2.0, 1.0)])
