@@ -25,7 +25,8 @@ invariant under rescaling all counts by a common positive factor.
 This module is the one place where citations are attributed to the partner
 journals' SCs: :func:`build_profile` for one unit and
 :func:`aggregate_sc_network` for the SC-to-SC network. Both sum integer
-shares and divide once, so fractional values are exact up to one rounding.
+shares; a profile divides them once, and the network returns them with their
+denominator, so fractional values are exact up to one rounding.
 """
 
 from __future__ import annotations
@@ -248,37 +249,37 @@ def aggregate_sc_network(
     corpus: Corpus,
     dimension: Dimension,
     counting_mode: CountingMode = CountingMode.WHOLE,
-) -> dict[tuple[str, str], float]:
-    """SC-to-SC citation weights for one dimension.
+) -> tuple[dict[str, dict[str, int]], int]:
+    """SC-to-SC citation shares for one dimension, as ``({source: {target: share}}, denominator)``.
 
     Every journal edge fans out over the focal journal's SCs (sources) and the
     partner's SCs (targets): the full count per pair under WHOLE counting, or
     count / (#focal SCs * #partner SCs) under FRACTIONAL, which preserves the
-    total volume. Shares are summed as integers in units of 1/L**2 (L is
-    :attr:`Corpus.membership_lcm`), so each weight is the exact sum, correctly
-    rounded once.
+    total volume. Each share is the exact integer sum in units of
+    1/denominator: 1 under WHOLE counting, L**2 under FRACTIONAL (L is
+    :attr:`Corpus.membership_lcm`), so ``share / denominator`` is the weight,
+    correctly rounded once. Every share is positive, and every source has one.
     """
-    fractional = counting_mode is CountingMode.FRACTIONAL
+    fractional = counting_mode is _FRACTIONAL
     scale = corpus.membership_lcm if fractional else 1
     journals = corpus.journals
-    weights: dict[tuple[str, str], float] = {}
+    shares: dict[str, dict[str, int]] = {}
     for (focal, focal_dimension), partners in corpus.citations.items():
         if focal_dimension is not dimension:
             continue
         focal_scs = journals[focal].sc_memberships
         focal_share = scale // len(focal_scs) if fractional else 1
+        rows = [shares.setdefault(source, {}) for source in focal_scs]
         for partner, count in partners.items():
             if count == 0:
                 continue
             partner_scs = journals[partner].sc_memberships
             share = count * focal_share * (scale // len(partner_scs) if fractional else 1)
-            for source in focal_scs:
+            for row in rows:
                 for target in partner_scs:
-                    weights[(source, target)] = weights.get((source, target), 0) + share
-    denominator = scale * scale
-    for pair, weight in weights.items():
-        weights[pair] = weight / denominator
-    return weights
+                    row[target] = row.get(target, 0) + share
+    # a journal whose every count is 0 leaves its sources' rows empty
+    return {source: row for source, row in shares.items() if row}, scale * scale
 
 
 def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:

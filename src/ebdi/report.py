@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from operator import itemgetter
@@ -441,25 +440,24 @@ def run_correlations(config: RunConfig) -> list[dict[str, object]]:
 def export_sc_network(config: RunConfig) -> list[dict[str, object]]:
     """Edge list of the SC-level citation network, trimmed to the top-k SCs.
 
-    SCs are ranked by their total incident citation volume; an edge is kept
-    when either endpoint is among the retained SCs. Rows are sorted by weight
-    descending (ties by source then target).
+    SCs are ranked by their exact total incident citation volume (the sum of
+    their row and column, a self-loop counted once), ties by name; an edge is
+    kept when either endpoint is among the retained SCs. Rows are sorted by
+    exact share, so by weight, descending (ties by source then target).
     """
     if config.dimension is None:
         raise ValidationError("network export needs a dimension (--dimension cited|citing)")
     if config.top_k is None or config.top_k < 1:
         raise ValidationError("network export needs --top-k >= 1")
     corpus = _load_corpus(config)
-    weights = aggregate_sc_network(corpus, config.dimension, config.counting)
+    shares, denominator = aggregate_sc_network(corpus, config.dimension, config.counting)
 
-    incident: dict[str, list[float]] = {}
-    for (source, target), weight in weights.items():
-        incident.setdefault(source, []).append(weight)
-        if target != source:
-            incident.setdefault(target, []).append(weight)
-    # fsum is exact, so the ranking does not depend on the order of the weights
-    volume = {sc: math.fsum(sc_weights) for sc, sc_weights in incident.items()}
-    del incident  # freed before the rows are built, so the two never add up in the peak
+    # integer shares in units of 1/denominator: the volumes, and so the ranking, are exact
+    volume = {source: sum(targets.values()) for source, targets in shares.items()}
+    for source, targets in shares.items():
+        for target, share in targets.items():
+            if target != source:
+                volume[target] = volume.get(target, 0) + share
     ranked = sorted(volume, key=lambda sc: (-volume[sc], sc))
     if config.top_k > len(ranked):
         log.warning(
@@ -470,11 +468,14 @@ def export_sc_network(config: RunConfig) -> list[dict[str, object]]:
     log.info("kept %d SCs by citation volume", len(retained))
 
     rows = [
-        {"source_sc": source, "target_sc": target, "weight": weight}
-        for (source, target), weight in weights.items()
+        {"source_sc": source, "target_sc": target, "weight": share / denominator}
+        for source, targets in shares.items()
+        for target, share in targets.items()
         if source in retained or target in retained
     ]
-    rows.sort(key=lambda row: (-float(row["weight"]), row["source_sc"], row["target_sc"]))
+    rows.sort(key=lambda row: (
+        -shares[row["source_sc"]][row["target_sc"]], row["source_sc"], row["target_sc"],
+    ))
 
     _write_table(
         config, "sc_network", NETWORK_COLUMNS, map(itemgetter(*NETWORK_COLUMNS), rows), "network", corpus,

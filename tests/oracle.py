@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 
 def brute_indicator_rows(journal_memberships, edge_rows, n_categories, mode):
@@ -161,6 +162,22 @@ def brute_sc_network(journal_memberships, edge_rows, dimension, mode):
                 else:
                     add = count / (len(focal_scs) * len(partner_scs))
                 weights[(source, target)] = weights.get((source, target), 0.0) + add
+    return weights
+
+
+def exact_sc_network(journal_memberships, edge_rows, dimension, mode):
+    """brute_sc_network in exact Fractions: {(source, target): weight}, every weight positive."""
+    weights = {}
+    for focal, partner, dim, count in edge_rows:
+        if dim.upper() != dimension.upper() or count == 0:
+            continue
+        focal_scs, partner_scs = journal_memberships[focal], journal_memberships[partner]
+        share = Fraction(count)
+        if mode == "fractional":
+            share /= len(focal_scs) * len(partner_scs)
+        for source in focal_scs:
+            for target in partner_scs:
+                weights[(source, target)] = weights.get((source, target), 0) + share
     return weights
 
 

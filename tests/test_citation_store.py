@@ -62,7 +62,14 @@ def all_profiles(corpus, mode=CountingMode.FRACTIONAL) -> dict:
 
 
 def networks(corpus, mode=CountingMode.FRACTIONAL) -> dict:
-    return {dimension: aggregate_sc_network(corpus, dimension, mode) for dimension in DIMENSIONS}
+    """Each dimension's ({(source, target): share}, denominator)."""
+    flat = {}
+    for dimension in DIMENSIONS:
+        shares, denominator = aggregate_sc_network(corpus, dimension, mode)
+        pairs = {(source, target): share
+                 for source, targets in shares.items() for target, share in targets.items()}
+        flat[dimension] = pairs, denominator
+    return flat
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -133,7 +140,7 @@ def test_values_are_the_correctly_rounded_exact_sums(seed, mode):
                     exact[sc] = exact.get(sc, 0) + count * weight(partner_scs)
         assert profile.external_counts == {sc: float(value) for sc, value in exact.items() if value}
 
-    for dimension, network in networks(corpus, mode).items():
+    for dimension, (network, denominator) in networks(corpus, mode).items():
         exact_network: dict[tuple[str, str], Fraction] = {}
         for focal, partner, dimension_cell, count in rows:
             if dimension_cell.upper() != dimension.value:
@@ -142,7 +149,10 @@ def test_values_are_the_correctly_rounded_exact_sums(seed, mode):
             for source in memberships[focal]:
                 for target in memberships[partner]:
                     exact_network[(source, target)] = exact_network.get((source, target), 0) + share
-        assert network == {pair: float(value) for pair, value in exact_network.items() if value}
+        assert all(type(share) is int for share in network.values())
+        assert {pair: Fraction(share, denominator) for pair, share in network.items()} == {
+            pair: value for pair, value in exact_network.items() if value
+        }
 
 
 def test_second_load_leaves_the_input_corpus_unchanged():

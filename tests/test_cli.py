@@ -149,6 +149,29 @@ def test_network_json_format(tmp_path, corpus_paths):
     assert any(not float(weight).is_integer() for _, _, weight in json_rows)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_network_ranks_scs_on_exact_volumes(tmp_path, fmt):
+    # SCA's volume is 2**53 and SCB's 2**53 + 1, which rounds to 2**53 as a float: a float
+    # ranking ties them and keeps SCA by name, dropping SCB's self-loop
+    paths = write_corpus_files(
+        tmp_path, [("SCA", "A", ""), ("SCB", "B", ""), ("SCC", "C", "")],
+        [("JA", "A Journal", "SCA"), ("JB", "B Journal", "SCB"), ("JC", "C Journal", "SCC")],
+        [("JA", "JC", "CITING", 2**53), ("JB", "JC", "CITING", 2**53), ("JB", "JB", "CITING", 1)],
+    )
+    out = tmp_path / "out"
+    code = main(["network", *corpus_args(paths), "--dimension", "citing", "--top-k", "2",
+                 "--format", fmt, "--out", str(out)])
+    assert code == 0
+    expected = [("SCA", "SCC", 2**53), ("SCB", "SCC", 2**53), ("SCB", "SCB", 1)]
+    if fmt == "csv":
+        lines = (out / "sc_network.csv").read_text().splitlines()
+        assert lines == ["source_sc,target_sc,weight", *(f"{s},{t},{w}" for s, t, w in expected)]
+    else:
+        rows = json.loads((out / "sc_network.json").read_text())["rows"]
+        assert [(r["source_sc"], r["target_sc"], r["weight"]) for r in rows] == expected
+        assert all(isinstance(r["weight"], float) for r in rows)
+
+
 def test_missing_input_file_exits_1(tmp_path, corpus_paths):
     code = main(["indicators",
                  "--classification", str(tmp_path / "nope.csv"),

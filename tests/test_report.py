@@ -32,6 +32,7 @@ from oracle import (
     brute_indicator_rows,
     brute_rank_pearson,
     brute_sc_network,
+    exact_sc_network,
     random_corpus_rows,
 )
 from reference_data import (
@@ -863,6 +864,45 @@ class TestExportScNetwork:
         assert [(s, t) for s, t, w in got if w == float(Fraction(5, 6))] == [
             ("B", "A"), ("C", "A"), ("D", "A"), ("D", "B"), ("D", "C"),
         ]
+
+    def test_random_corpora_match_the_exact_oracle(self, tmp_path, caplog):
+        # counts of at most 3 make equal volumes common, so the name tie-break at the cut runs
+        ties_at_cut = self_loops = 0
+        for seed in range(20):
+            sc_rows, journal_rows, citation_rows, memberships = random_corpus_rows(
+                random.Random(seed), max_count=3,
+            )
+            paths = write_corpus_files(tmp_path, sc_rows, journal_rows, citation_rows)
+            for dimension in ("CITED", "CITING"):
+                for mode in ("whole", "fractional"):
+                    exact = exact_sc_network(memberships, citation_rows, dimension, mode)
+                    approx = brute_sc_network(memberships, citation_rows, dimension, mode)
+                    volume: dict[str, Fraction] = {}
+                    for (source, target), weight in exact.items():
+                        volume[source] = volume.get(source, 0) + weight
+                        if target != source:  # a self-loop counts once
+                            volume[target] = volume.get(target, 0) + weight
+                    ranked = sorted(volume, key=lambda sc: (-volume[sc], sc))
+                    self_loops += any(source == target for source, target in exact)
+                    for top_k in range(1, len(sc_rows) + 2):
+                        retained = set(ranked[:top_k])
+                        ties_at_cut += top_k < len(ranked) and volume[ranked[top_k - 1]] == volume[ranked[top_k]]
+                        expected = sorted(
+                            ((s, t, w) for (s, t), w in exact.items() if s in retained or t in retained),
+                            key=lambda row: (-row[2], row[0], row[1]),
+                        )
+                        caplog.clear()
+                        with caplog.at_level(logging.WARNING):
+                            rows = export_sc_network(RunConfig(
+                                **paths, dimension=dimension, counting=mode, top_k=top_k,
+                                out_dir=tmp_path / "out",
+                            ))
+                        got = [(r["source_sc"], r["target_sc"], r["weight"]) for r in rows]
+                        assert got == [(s, t, float(w)) for s, t, w in expected]
+                        for source, target, weight in got:
+                            assert weight == pytest.approx(approx[(source, target)], rel=1e-12)
+                        assert ("emitting all" in caplog.text) == (top_k > len(ranked))
+        assert ties_at_cut and self_loops
 
     def test_rows_sorted_by_weight_descending(self, tmp_path):
         paths, _ = self._corpus_paths(tmp_path)
