@@ -6,11 +6,12 @@ directed citation counts between journals. Everything is parsed from
 plain CSV exports (schemas documented in the README) into an immutable
 :class:`Corpus`, which downstream modules treat as a read-only database.
 
-The one piece of domain logic living here is :func:`is_internal`: a citation
-partner counts as internal to a focal subject category exactly when the
-partner journal is classified in that category. Membership is a Boolean "or":
-a partner co-classified in the focal SC plus other SCs is wholly internal,
-and its other memberships contribute nothing.
+A journal's ``sc_memberships`` is one sorted tuple of SC ids, shared by
+every journal with the same set. Readers only test, count and iterate it: a
+citation partner is internal to a focal SC exactly when that SC is among the
+partner's memberships (a Boolean "or", applied by
+:func:`ebdi.metrics.build_profile`), and a journal's SCs come in the same
+order in every layer, whatever the hash seed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from operator import lt
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -85,16 +87,27 @@ class SubjectCategory:
 
 @dataclass(frozen=True, slots=True)
 class Journal:
-    """A journal plus the set of subject categories it is classified in."""
+    """A journal plus the subject categories it is classified in.
+
+    ``sc_memberships`` is a strictly increasing tuple of SC ids. Any other
+    collection of distinct ids, such as a frozenset, is turned into one; a
+    tuple that already is one is kept as it is, so journals can share it.
+    """
 
     journal_id: str
     title: str
-    sc_memberships: frozenset[str]
+    sc_memberships: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.journal_id:
             raise ValidationError("journal with empty journal_id")
-        if not self.sc_memberships:
+        scs = self.sc_memberships
+        if not (type(scs) is tuple and all(map(lt, scs, scs[1:]))):
+            scs = tuple(sorted(scs))
+            if not all(map(lt, scs, scs[1:])):
+                raise ValidationError(f"duplicate SC membership for journal {self.journal_id!r}")
+            object.__setattr__(self, "sc_memberships", scs)
+        if not scs:
             raise ValidationError(f"journal without SC: {self.journal_id!r}")
 
 
@@ -174,18 +187,6 @@ class Corpus:
     def journals_in(self, sc_id: str) -> tuple[str, ...]:
         """Journal ids classified in ``sc_id``, sorted for determinism."""
         return self._journals_by_sc.get(sc_id, ())
-
-
-def is_internal(corpus: Corpus, partner_journal: str, focal_sc: str) -> bool:
-    """True iff the partner journal is classified in the focal SC.
-
-    A pure membership test: it never consults counts or direction, and a
-    partner holding the focal SC among several memberships is still internal.
-    """
-    journal = corpus.journals.get(partner_journal)
-    if journal is None:
-        raise ValidationError(f"unknown journal {partner_journal!r}")
-    return focal_sc in journal.sc_memberships
 
 
 # -- CSV loading ----------------------------------------------------------------
@@ -333,8 +334,8 @@ def load_classification(
     """Load the SC and journal registries; returns a corpus with no citations yet.
 
     ``n_categories`` defaults to the number of distinct SCs in ``sc_file``.
-    Membership sets hold the SC registry's own id strings, and journals with
-    equal memberships share one frozenset.
+    Memberships are sorted tuples of the SC registry's own id strings, and
+    journals with equal memberships share one tuple.
     """
     sc_registry: dict[str, SubjectCategory] = {}
     for line, (sc_id, name, branch) in read_csv(sc_file, SC_FIELDS):
@@ -345,8 +346,8 @@ def load_classification(
         sc_registry[sc_id] = SubjectCategory(sc_id=sc_id, name=name, branch=branch or None)
 
     journals: dict[str, Journal] = {}
-    # one frozenset per distinct membership set, shared by every journal that has it
-    shared: dict[frozenset[str], frozenset[str]] = {}
+    # one tuple per distinct membership set, shared by every journal that has it
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     for line, (journal_id, title, memberships) in read_csv(journal_file, JOURNAL_FIELDS):
         if not journal_id:
             raise LoadError("journal_id must be non-empty", path=journal_file, line=line)
@@ -367,7 +368,7 @@ def load_classification(
                     f"journal {journal_id!r} references unknown sc_id {sc_id!r}",
                     path=journal_file, line=line,
                 )
-        sc_memberships = frozenset(sc_registry[sc_id].sc_id for sc_id in tokens)
+        sc_memberships = tuple(sorted(sc_registry[sc_id].sc_id for sc_id in tokens))
         sc_memberships = shared.setdefault(sc_memberships, sc_memberships)
         journals[journal_id] = Journal(
             journal_id=journal_id, title=title, sc_memberships=sc_memberships

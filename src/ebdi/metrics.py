@@ -149,19 +149,6 @@ def _entropy(values: Collection[float]) -> float:
     return -math.fsum(map(mul, ps, map(math.log, ps))) + 0.0
 
 
-def pct_of_max_entropy(entropy_nats: float, n_categories: int) -> float:
-    """Entropy as a percentage of the maximum entropy ln(n_categories).
-
-    ``n_categories`` is the number of possible SCs in the whole classification
-    system, not the number observed in one distribution.
-    """
-    if n_categories < 2:
-        raise ValidationError("n_categories must be >= 2 (otherwise the maximum entropy is 0)")
-    if entropy_nats < 0:
-        raise ValidationError("entropy must be non-negative")
-    return 100.0 * entropy_nats / math.log(n_categories)
-
-
 def ebdi_value(pct_internal: float, pct_hmax: float) -> float:
     """The indicator ratio itself: pct_internal / (pct_hmax + 1).
 
@@ -227,7 +214,7 @@ def build_profile(
             if count == 0:
                 continue
             partner_scs = journals[partner].sc_memberships
-            # the Boolean rule of is_internal: a partner in the focal SC is wholly internal
+            # the Boolean internal rule: a partner in the focal SC is wholly internal
             if focal_sc in partner_scs:
                 internal += count
                 continue
@@ -298,7 +285,7 @@ def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
         raise ValidationError("n_categories must be >= 2 (otherwise the maximum entropy is 0)")
     hmax = math.log(n_categories)
     entropy = _entropy(profile.external_counts.values())  # its values are positive
-    pct_hmax = 100.0 * entropy / hmax  # pct_of_max_entropy, with the logarithm taken once
+    pct_hmax = 100.0 * entropy / hmax  # entropy as a percentage of ln(n_categories)
     pct_internal = 100.0 * (profile.internal_count / total)
     # the fields in order: keyword arguments cost about 0.5 µs a record
     return EbdiScore(

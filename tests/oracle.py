@@ -3,6 +3,10 @@
 Deliberately independent of the package: it consumes raw row data (not Corpus
 objects), merges duplicates itself, and evaluates every formula with plain
 loops and ``math.log``. Used to cross-check the pipeline on random corpora.
+It also keeps the small helpers that only tests call, such as
+:func:`is_internal` and :func:`pct_of_max_entropy`. ``benchmarks/workloads.py``
+imports this module without the package on its path, so the two import
+:class:`~ebdi.errors.ValidationError` only when called.
 """
 
 from __future__ import annotations
@@ -86,6 +90,35 @@ def reference_entropy(counts):
         return 0.0
     total = math.fsum(values)
     return -math.fsum(v / total * math.log(v / total) for v in values) + 0.0
+
+
+def is_internal(corpus, partner_journal, focal_sc):
+    """True iff the partner journal is classified in the focal SC.
+
+    A pure membership test: it never consults counts or direction, and a
+    partner holding the focal SC among several memberships is still internal.
+    """
+    from ebdi.errors import ValidationError
+
+    journal = corpus.journals.get(partner_journal)
+    if journal is None:
+        raise ValidationError(f"unknown journal {partner_journal!r}")
+    return focal_sc in journal.sc_memberships
+
+
+def pct_of_max_entropy(entropy_nats, n_categories):
+    """Entropy as a percentage of the maximum entropy ln(n_categories).
+
+    ``n_categories`` is the number of possible SCs in the whole classification
+    system, not the number observed in one distribution.
+    """
+    from ebdi.errors import ValidationError
+
+    if n_categories < 2:
+        raise ValidationError("n_categories must be >= 2 (otherwise the maximum entropy is 0)")
+    if entropy_nats < 0:
+        raise ValidationError("entropy must be non-negative")
+    return 100.0 * entropy_nats / math.log(n_categories)
 
 
 def scaled_profile(profile, factor):

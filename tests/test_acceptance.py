@@ -22,11 +22,11 @@ from ebdi import (
     compute_ebdi,
 )
 from ebdi.cli import main as cli_main
-from ebdi.metrics import ebdi_value, pct_of_max_entropy, shannon_entropy
+from ebdi.metrics import ebdi_value, shannon_entropy
 from ebdi.report import RunConfig, run_indicators
 from ebdi.stats import MetricSeries, p_two_tailed, spearman_rho
 from conftest import make_corpus, write_corpus_files
-from oracle import brute_indicator_rows, random_corpus_rows, scaled_profile
+from oracle import brute_indicator_rows, pct_of_max_entropy, random_corpus_rows, scaled_profile
 from reference_data import (
     REFERENCE_DISCIPLINE_ROWS,
     WORKED_EBDI_CITED,

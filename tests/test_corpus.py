@@ -4,15 +4,23 @@ from __future__ import annotations
 
 import gc
 import io
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ebdi import Corpus, Dimension, LoadError, ValidationError, load_corpus, load_edges
-from ebdi.corpus import Journal, SubjectCategory, is_internal, load_classification
+from ebdi.corpus import Journal, SubjectCategory, load_classification
 from conftest import csv_text, make_corpus, write_corpus_files
+from oracle import is_internal
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestLoadClassification:
@@ -24,7 +32,7 @@ class TestLoadClassification:
         )
         assert corpus.n_categories == 2
         assert len(corpus.journals) == 1
-        assert corpus.journals["J1"].sc_memberships == {"LIS", "GEO"}
+        assert corpus.journals["J1"].sc_memberships == ("GEO", "LIS")
         assert corpus.sc_registry["GEO"].branch is None
         assert corpus.sc_registry["LIS"].branch == "social"
 
@@ -110,7 +118,7 @@ class TestRegistryMemory:
         )
         journals = corpus.journals
         assert journals["J1"].sc_memberships is journals["J2"].sc_memberships
-        assert journals["J3"].sc_memberships == {"GEO"}
+        assert journals["J3"].sc_memberships == ("GEO",)
 
     def test_membership_strings_are_the_registry_keys(self):
         corpus = make_corpus(
@@ -125,32 +133,94 @@ class TestRegistryMemory:
                 assert sc_id is corpus.sc_registry[sc_id].sc_id
 
     def test_load_classification_memory_per_journal(self):
-        """At most 400 B retained by ``load_classification`` per journal.
+        """At most 400 B retained by ``load_classification`` per journal, on two registries.
 
-        5,000 journals drawing their memberships from 200 sets of 1-3 of 250
-        SCs. Shared sets of registry strings and slotted journals measure
-        about 223 B per journal here (Python 3.11). A fresh frozenset of
-        fresh strings per journal, in a journal with a ``__dict__``, measured
-        585 B, so this bound fails for that design.
+        Two registries of 5,000 journals over 250 SCs: one draws its
+        memberships from 200 sets of 1-3 SCs, the other gives each journal its
+        own set of 5 SCs. Shared sorted tuples of registry strings and slotted
+        journals measure about 217 and 294 B per journal here (Python 3.11).
+        A frozenset per distinct set measured 223 and 942 B, because CPython
+        gives a frozenset of 5 or more elements a 728 B table, so the second
+        registry fails the bound for that design; a fresh frozenset of fresh
+        strings per journal, in a journal with a ``__dict__``, measured 585 B
+        on the first.
         """
         rng = random.Random(2024)
         scs = [f"SC{i:03d}" for i in range(250)]
         pool = [";".join(rng.sample(scs, rng.randint(1, 3))) for _ in range(200)]
-        journal_rows = [(f"J{i:05d}", f"Journal of Topic {i}", rng.choice(pool)) for i in range(5000)]
-        sc_file = io.StringIO(csv_text("sc_id,name,branch", [(sc, f"Category {sc}", "") for sc in scs]))
-        journal_file = io.StringIO(csv_text("journal_id,title,sc_memberships", journal_rows))
+        registries = {
+            "pooled 1-3": [(f"J{i:05d}", f"Journal of Topic {i}", rng.choice(pool)) for i in range(5000)],
+            "own 5": [(f"J{i:05d}", f"Journal of Topic {i}", ";".join(rng.sample(scs, 5)))
+                      for i in range(5000)],
+        }
+        for label, journal_rows in registries.items():
+            sc_file = io.StringIO(csv_text("sc_id,name,branch", [(sc, f"Category {sc}", "") for sc in scs]))
+            journal_file = io.StringIO(csv_text("journal_id,title,sc_memberships", journal_rows))
 
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            corpus = load_classification(sc_file, journal_file)
-            current = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                corpus = load_classification(sc_file, journal_file)
+                current = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
 
-        assert len(corpus.journals) == 5000
-        assert (current - base) / len(corpus.journals) <= 400
+            assert len(corpus.journals) == 5000
+            assert (current - base) / len(corpus.journals) <= 400, label
+            del corpus
+
+
+class TestMembershipOrder:
+    """A journal's SCs are one sorted tuple, whatever the input order or the hash seed."""
+
+    def test_frozenset_becomes_the_sorted_tuple(self):
+        journal = Journal("J1", "One", frozenset({"LIS", "GEO", "BIO"}))
+        assert journal.sc_memberships == ("BIO", "GEO", "LIS")
+        assert type(journal.sc_memberships) is tuple
+
+    def test_sorted_tuple_is_kept_as_it_is(self):
+        memberships = ("BIO", "GEO")
+        assert Journal("J1", "One", memberships).sc_memberships is memberships
+
+    def test_repeated_sc_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate SC membership for journal 'J1'"):
+            Journal("J1", "One", ("GEO", "LIS", "GEO"))
+
+    def test_empty_memberships_rejected(self):
+        for empty in ((), frozenset()):
+            with pytest.raises(ValidationError, match="journal without SC: 'J1'"):
+                Journal("J1", "One", empty)
+
+    def test_order_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """Memberships and an external profile's SC order agree under two hash seeds."""
+        scs = ["SC001", "SC027", "SC030", "SC033", "SC035"]
+        paths = write_corpus_files(
+            tmp_path,
+            sc_rows=[(sc, f"Category {sc}", "") for sc in scs],
+            journal_rows=[("F", "Focal", "SC001"), ("P", "Partner", "SC033;SC027;SC035;SC030")],
+            citation_rows=[("F", "P", "CITING", 4)],
+        )
+        child = (
+            "import json, sys\n"
+            "from ebdi import Dimension, build_profile, load_corpus\n"
+            "corpus = load_corpus(*sys.argv[1:])\n"
+            "profile = build_profile(corpus, 'F', 'SC001', Dimension.CITING)\n"
+            "print(json.dumps([list(corpus.journals['P'].sc_memberships), list(profile.external_counts)]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        runs = []
+        for seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            done = subprocess.run(
+                [sys.executable, "-c", child,
+                 str(paths["classification"]), str(paths["journals"]), str(paths["citations"])],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            runs.append(json.loads(done.stdout))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == ["SC027", "SC030", "SC033", "SC035"]
 
 
 class TestLoadEdges:

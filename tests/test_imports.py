@@ -109,8 +109,8 @@ PUBLIC_NAMES = {
 }
 #: names the package no longer re-exports, by the module that defines them
 MODULE_NAMES = {
-    "ebdi.corpus": ("Journal", "SubjectCategory", "is_internal", "load_classification"),
-    "ebdi.metrics": ("ebdi_value", "pct_of_max_entropy", "shannon_entropy"),
+    "ebdi.corpus": ("Journal", "SubjectCategory", "load_classification"),
+    "ebdi.metrics": ("ebdi_value", "shannon_entropy"),
     "ebdi.report": ("RunConfig", "export_sc_network", "run_correlations", "run_indicators", "run_roles"),
     "ebdi.stats": ("CorrelationResult", "MetricSeries", "correlate", "load_metric_series",
                    "p_two_tailed", "spearman_rho"),

@@ -21,9 +21,11 @@ from ebdi import (
     compute_ebdi,
     compute_journal_indicators,
 )
-from ebdi.metrics import ebdi_value, pct_of_max_entropy, shannon_entropy
+from ebdi.metrics import ebdi_value, shannon_entropy
 from conftest import make_corpus
-from oracle import brute_indicator_rows, random_corpus_rows, reference_entropy, scaled_profile
+from oracle import (
+    brute_indicator_rows, pct_of_max_entropy, random_corpus_rows, reference_entropy, scaled_profile,
+)
 
 
 class TestShannonEntropy:
@@ -90,7 +92,7 @@ def test_entropy_has_the_reference_bits(counts):
 
 @given(counts=entropy_counts, seed=st.integers(0, 2**32 - 1))
 def test_entropy_does_not_depend_on_the_order_of_the_counts(counts, seed):
-    # build_profile leaves the external map unsorted, in the iteration order of frozensets
+    # build_profile leaves the external map unsorted, in the order partners and their SCs are met
     items = list(counts.items())
     random.Random(seed).shuffle(items)
     try:
