@@ -1,15 +1,15 @@
 """Classification registries and citation count storage.
 
 This module owns the input side of the toolkit: the subject-category (SC)
-registry, the journal registry with per-journal SC memberships, and the
-directed citation counts between journals. Everything is parsed from
-plain CSV exports (schemas documented in the README) into an immutable
-:class:`Corpus`, which downstream modules treat as a read-only database.
+ids, each journal's SCs and the directed citation counts between journals,
+parsed from CSV exports (schemas in the README) into an immutable
+:class:`Corpus` that downstream modules treat as a read-only database.
+Titles, SC names and branches are checked, not kept: no indicator reads them.
 
-A journal's ``sc_memberships`` is one sorted tuple of SC ids, shared by
-every journal with the same set. Readers only test, count and iterate it: a
-citation partner is internal to a focal SC exactly when that SC is among the
-partner's memberships (a Boolean "or", applied by
+``corpus.journals[j]`` is the journal's SCs as one sorted tuple of SC ids,
+shared by every journal with the same set. Readers only test, count and
+iterate it: a citation partner is internal to a focal SC exactly when that
+SC is in the partner's tuple (a Boolean "or", applied by
 :func:`ebdi.metrics.build_profile`), and a journal's SCs come in the same
 order in every layer, whatever the hash seed.
 """
@@ -71,52 +71,14 @@ class CountingMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class SubjectCategory:
-    """One discipline label in the classification system."""
-
-    sc_id: str
-    name: str
-    branch: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.sc_id:
-            raise ValidationError("subject category with empty sc_id")
-        if not self.name:
-            raise ValidationError(f"subject category {self.sc_id!r} with empty name")
-
-
-@dataclass(frozen=True, slots=True)
-class Journal:
-    """A journal plus the subject categories it is classified in.
-
-    ``sc_memberships`` is a strictly increasing tuple of SC ids. Any other
-    collection of distinct ids, such as a frozenset, is turned into one; a
-    tuple that already is one is kept as it is, so journals can share it.
-    """
-
-    journal_id: str
-    title: str
-    sc_memberships: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.journal_id:
-            raise ValidationError("journal with empty journal_id")
-        scs = self.sc_memberships
-        if not (type(scs) is tuple and all(map(lt, scs, scs[1:]))):
-            scs = tuple(sorted(scs))
-            if not all(map(lt, scs, scs[1:])):
-                raise ValidationError(f"duplicate SC membership for journal {self.journal_id!r}")
-            object.__setattr__(self, "sc_memberships", scs)
-        if not scs:
-            raise ValidationError(f"journal without SC: {self.journal_id!r}")
-
-
-@dataclass(frozen=True)
 class Corpus:
     """Immutable registry of SCs, journals, and citation counts.
 
-    ``citations``, the one stored form of the edges, maps (focal journal,
-    dimension) to {partner journal: summed count, 0 kept}, sorted by partner.
+    ``sc_registry`` holds the SC ids. ``journals`` maps a journal id to its
+    SCs: a non-empty, strictly increasing tuple of registry ids, which
+    journals with the same set share. ``citations``, the one stored form of
+    the edges, maps (focal journal, dimension) to {partner journal: summed
+    count, 0 kept}, sorted by partner.
 
     ``n_categories`` is the number of possible subject categories in the
     system, used downstream as the n of the maximum entropy ln(n). It defaults
@@ -124,20 +86,26 @@ class Corpus:
     but never below the number of distinct SCs actually used by journals.
     """
 
-    sc_registry: dict[str, SubjectCategory]
-    journals: dict[str, Journal]
+    sc_registry: frozenset[str]
+    journals: dict[str, tuple[str, ...]]
     citations: dict[tuple[str, Dimension], dict[str, int]]
     n_categories: int
 
     def __post_init__(self) -> None:
+        if "" in self.sc_registry:
+            raise ValidationError("subject category with empty sc_id")
         used_scs: set[str] = set()
-        for journal in self.journals.values():
-            for sc_id in journal.sc_memberships:
+        for journal_id, scs in self.journals.items():
+            if not journal_id:
+                raise ValidationError("journal with empty journal_id")
+            if not (type(scs) is tuple and scs and all(map(lt, scs, scs[1:]))):
+                raise ValidationError(
+                    f"SCs of journal {journal_id!r} are not a non-empty, strictly increasing tuple"
+                )
+            for sc_id in scs:
                 if sc_id not in self.sc_registry:
-                    raise ValidationError(
-                        f"journal {journal.journal_id!r} references unknown sc_id {sc_id!r}"
-                    )
-                used_scs.add(sc_id)
+                    raise ValidationError(f"journal {journal_id!r} references unknown sc_id {sc_id!r}")
+            used_scs.update(scs)
         journal_ids = self.journals.keys()
         for (focal, dimension), partners in self.citations.items():
             if focal not in journal_ids or not partners.keys() <= journal_ids:
@@ -171,7 +139,7 @@ class Corpus:
     def _journals_by_sc(self) -> dict[str, tuple[str, ...]]:
         index: dict[str, list[str]] = {}
         for journal_id in sorted(self.journals):
-            for sc_id in self.journals[journal_id].sc_memberships:
+            for sc_id in self.journals[journal_id]:
                 index.setdefault(sc_id, []).append(journal_id)
         return {sc_id: tuple(ids) for sc_id, ids in index.items()}
 
@@ -182,7 +150,7 @@ class Corpus:
         Every journal's count k divides L, so a fractional share count/k is
         the integer count * (L // k) in units of 1/L.
         """
-        return math.lcm(*{len(journal.sc_memberships) for journal in self.journals.values()})
+        return math.lcm(*{len(scs) for scs in self.journals.values()})
 
     def journals_in(self, sc_id: str) -> tuple[str, ...]:
         """Journal ids classified in ``sc_id``, sorted for determinism."""
@@ -334,21 +302,26 @@ def load_classification(
     """Load the SC and journal registries; returns a corpus with no citations yet.
 
     ``n_categories`` defaults to the number of distinct SCs in ``sc_file``.
-    Memberships are sorted tuples of the SC registry's own id strings, and
+    Every row is checked, but only SC ids and memberships are kept: each
+    journal's SCs are a sorted tuple of the registry's own id strings, and
     journals with equal memberships share one tuple.
     """
-    sc_registry: dict[str, SubjectCategory] = {}
-    for line, (sc_id, name, branch) in read_csv(sc_file, SC_FIELDS):
+    sc_registry: dict[str, str] = {}  # each SC id to itself, the one string every tuple holds
+    for line, (sc_id, name, _branch) in read_csv(sc_file, SC_FIELDS):
         if not sc_id or not name:
             raise LoadError("sc_id and name must be non-empty", path=sc_file, line=line)
+        if ";" in sc_id:
+            raise LoadError(f"sc_id {sc_id!r} contains the separator ';'", path=sc_file, line=line)
         if sc_id in sc_registry:
             raise LoadError(f"duplicate sc_id {sc_id!r}", path=sc_file, line=line)
-        sc_registry[sc_id] = SubjectCategory(sc_id=sc_id, name=name, branch=branch or None)
+        sc_registry[sc_id] = sc_id
+    if not sc_registry:
+        raise LoadError("no subject categories", path=sc_file)
 
-    journals: dict[str, Journal] = {}
+    journals: dict[str, tuple[str, ...]] = {}
     # one tuple per distinct membership set, shared by every journal that has it
     shared: dict[tuple[str, ...], tuple[str, ...]] = {}
-    for line, (journal_id, title, memberships) in read_csv(journal_file, JOURNAL_FIELDS):
+    for line, (journal_id, _title, memberships) in read_csv(journal_file, JOURNAL_FIELDS):
         if not journal_id:
             raise LoadError("journal_id must be non-empty", path=journal_file, line=line)
         if journal_id in journals:
@@ -368,14 +341,11 @@ def load_classification(
                     f"journal {journal_id!r} references unknown sc_id {sc_id!r}",
                     path=journal_file, line=line,
                 )
-        sc_memberships = tuple(sorted(sc_registry[sc_id].sc_id for sc_id in tokens))
-        sc_memberships = shared.setdefault(sc_memberships, sc_memberships)
-        journals[journal_id] = Journal(
-            journal_id=journal_id, title=title, sc_memberships=sc_memberships
-        )
+        scs = tuple(sorted(sc_registry[sc_id] for sc_id in tokens))
+        journals[journal_id] = shared.setdefault(scs, scs)
 
     n = len(sc_registry) if n_categories is None else n_categories
-    return Corpus(sc_registry=sc_registry, journals=journals, citations={}, n_categories=n)
+    return Corpus(sc_registry=frozenset(sc_registry), journals=journals, citations={}, n_categories=n)
 
 
 def _citation(

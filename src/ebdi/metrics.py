@@ -186,9 +186,9 @@ def build_profile(
     if focal_sc not in corpus.sc_registry:
         raise ValidationError(f"unknown sc_id {focal_sc!r}")
 
-    journal = corpus.journals.get(unit_id)
-    if journal is not None:
-        if focal_sc not in journal.sc_memberships:
+    unit_scs = corpus.journals.get(unit_id)
+    if unit_scs is not None:
+        if focal_sc not in unit_scs:
             raise ValidationError(
                 f"focal SC {focal_sc!r} is not among the memberships of journal {unit_id!r}"
             )
@@ -213,7 +213,7 @@ def build_profile(
         for partner, count in corpus.citations.get((member, dimension), {}).items():
             if count == 0:
                 continue
-            partner_scs = journals[partner].sc_memberships
+            partner_scs = journals[partner]
             # the Boolean internal rule: a partner in the focal SC is wholly internal
             if focal_sc in partner_scs:
                 internal += count
@@ -254,13 +254,13 @@ def aggregate_sc_network(
     for (focal, focal_dimension), partners in corpus.citations.items():
         if focal_dimension is not dimension:
             continue
-        focal_scs = journals[focal].sc_memberships
+        focal_scs = journals[focal]
         focal_share = scale // len(focal_scs) if fractional else 1
         rows = [shares.setdefault(source, {}) for source in focal_scs]
         for partner, count in partners.items():
             if count == 0:
                 continue
-            partner_scs = journals[partner].sc_memberships
+            partner_scs = journals[partner]
             share = count * focal_share * (scale // len(partner_scs) if fractional else 1)
             for row in rows:
                 for target in partner_scs:

@@ -244,7 +244,7 @@ def _units(
             "(journals are analyzed relative to one subject category)"
         )
     journals = corpus.journals
-    return ((jid, sc_id) for jid in sorted(journals) for sc_id in journals[jid].sc_memberships)
+    return ((jid, sc_id) for jid in sorted(journals) for sc_id in journals[jid])
 
 
 # -- score collection (shared by roles and correlations) ---------------------------

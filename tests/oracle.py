@@ -100,10 +100,10 @@ def is_internal(corpus, partner_journal, focal_sc):
     """
     from ebdi.errors import ValidationError
 
-    journal = corpus.journals.get(partner_journal)
-    if journal is None:
+    scs = corpus.journals.get(partner_journal)
+    if scs is None:
         raise ValidationError(f"unknown journal {partner_journal!r}")
-    return focal_sc in journal.sc_memberships
+    return focal_sc in scs
 
 
 def pct_of_max_entropy(entropy_nats, n_categories):

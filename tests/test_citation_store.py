@@ -53,7 +53,7 @@ def citations(rows) -> io.StringIO:
 
 def all_profiles(corpus, mode=CountingMode.FRACTIONAL) -> dict:
     """build_profile of every (journal, membership) and every SC, both dimensions."""
-    units = [(j, sc) for j, journal in corpus.journals.items() for sc in sorted(journal.sc_memberships)]
+    units = [(j, sc) for j, scs in corpus.journals.items() for sc in scs]
     units += [(sc, sc) for sc in corpus.sc_registry]
     return {
         (unit, sc, dimension): build_profile(corpus, unit, sc, dimension, mode)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ebdi import Corpus, Dimension, LoadError, ValidationError, load_corpus, load_edges
-from ebdi.corpus import Journal, SubjectCategory, load_classification
+from ebdi.corpus import load_classification
 from conftest import csv_text, make_corpus, write_corpus_files
 from oracle import is_internal
 
@@ -32,9 +32,8 @@ class TestLoadClassification:
         )
         assert corpus.n_categories == 2
         assert len(corpus.journals) == 1
-        assert corpus.journals["J1"].sc_memberships == ("GEO", "LIS")
-        assert corpus.sc_registry["GEO"].branch is None
-        assert corpus.sc_registry["LIS"].branch == "social"
+        assert corpus.journals["J1"] == ("GEO", "LIS")
+        assert corpus.sc_registry == {"GEO", "LIS"}
 
     def test_journal_without_sc(self):
         with pytest.raises(LoadError, match="journal without SC"):
@@ -80,6 +79,25 @@ class TestLoadClassification:
         with pytest.raises(LoadError, match="non-empty"):
             make_corpus(sc_rows=[("LIS", "", "")], journal_rows=[], citation_rows=[])
 
+    def test_header_only_sc_file_named(self, tmp_path):
+        paths = write_corpus_files(tmp_path, sc_rows=[], journal_rows=[], citation_rows=[])
+        with pytest.raises(LoadError) as caught:
+            load_corpus(paths["classification"], paths["journals"], paths["citations"])
+        assert str(caught.value) == f"{paths['classification']}: no subject categories"
+
+    def test_sc_id_with_semicolon_rejected(self, tmp_path):
+        """Memberships split on ';', so no journal could name such an SC, yet it would count in n."""
+        paths = write_corpus_files(
+            tmp_path,
+            sc_rows=[("A", "A", ""), ("B;C", "B and C", "")],
+            journal_rows=[("J1", "One", "A")],
+            citation_rows=[],
+        )
+        with pytest.raises(LoadError) as caught:
+            load_corpus(paths["classification"], paths["journals"], paths["citations"])
+        assert str(caught.value).startswith(f"{paths['classification']}:3: ")
+        assert "';'" in str(caught.value)
+
     def test_error_reports_line_number(self):
         with pytest.raises(LoadError, match=":3:"):
             make_corpus(
@@ -117,8 +135,8 @@ class TestRegistryMemory:
             citation_rows=[],
         )
         journals = corpus.journals
-        assert journals["J1"].sc_memberships is journals["J2"].sc_memberships
-        assert journals["J3"].sc_memberships == ("GEO",)
+        assert journals["J1"] is journals["J2"]
+        assert journals["J3"] == ("GEO",)
 
     def test_membership_strings_are_the_registry_keys(self):
         corpus = make_corpus(
@@ -126,19 +144,19 @@ class TestRegistryMemory:
             journal_rows=[("J1", "One", "LIS;GEO"), ("J2", "Two", " GEO ")],
             citation_rows=[],
         )
-        keys = {sc_id: sc_id for sc_id in corpus.sc_registry}
-        for journal in corpus.journals.values():
-            for sc_id in journal.sc_memberships:
-                assert sc_id is keys[sc_id]
-                assert sc_id is corpus.sc_registry[sc_id].sc_id
+        registry = {sc_id: sc_id for sc_id in corpus.sc_registry}
+        for scs in corpus.journals.values():
+            for sc_id in scs:
+                assert sc_id is registry[sc_id]
 
     def test_load_classification_memory_per_journal(self):
         """At most 400 B retained by ``load_classification`` per journal, on two registries.
 
         Two registries of 5,000 journals over 250 SCs: one draws its
         memberships from 200 sets of 1-3 SCs, the other gives each journal its
-        own set of 5 SCs. Shared sorted tuples of registry strings and slotted
-        journals measure about 217 and 294 B per journal here (Python 3.11).
+        own set of 5 SCs. Shared sorted tuples of registry strings, one dict
+        entry per journal, measure about 83 and 160 B per journal here
+        (Python 3.11).
         A frozenset per distinct set measured 223 and 942 B, because CPython
         gives a frozenset of 5 or more elements a 728 B table, so the second
         registry fails the bound for that design; a fresh frozenset of fresh
@@ -171,26 +189,37 @@ class TestRegistryMemory:
             del corpus
 
 
+def corpus_of(journals, scs=frozenset({"BIO", "GEO", "LIS"})):
+    return Corpus(sc_registry=scs, journals=journals, citations={}, n_categories=len(scs))
+
+
 class TestMembershipOrder:
     """A journal's SCs are one sorted tuple, whatever the input order or the hash seed."""
 
-    def test_frozenset_becomes_the_sorted_tuple(self):
-        journal = Journal("J1", "One", frozenset({"LIS", "GEO", "BIO"}))
-        assert journal.sc_memberships == ("BIO", "GEO", "LIS")
-        assert type(journal.sc_memberships) is tuple
+    def test_frozenset_or_unsorted_tuple_rejected(self):
+        for scs in (frozenset({"LIS", "GEO", "BIO"}), ("LIS", "BIO"), ["BIO", "GEO"]):
+            with pytest.raises(ValidationError, match="SCs of journal 'J1' are not a non-empty, strictly"):
+                corpus_of({"J1": scs})
 
     def test_sorted_tuple_is_kept_as_it_is(self):
         memberships = ("BIO", "GEO")
-        assert Journal("J1", "One", memberships).sc_memberships is memberships
+        assert corpus_of({"J1": memberships}).journals["J1"] is memberships
 
     def test_repeated_sc_rejected(self):
-        with pytest.raises(ValidationError, match="duplicate SC membership for journal 'J1'"):
-            Journal("J1", "One", ("GEO", "LIS", "GEO"))
+        with pytest.raises(ValidationError, match="SCs of journal 'J1' are not a non-empty, strictly"):
+            corpus_of({"J1": ("GEO", "GEO", "LIS")})
 
     def test_empty_memberships_rejected(self):
-        for empty in ((), frozenset()):
-            with pytest.raises(ValidationError, match="journal without SC: 'J1'"):
-                Journal("J1", "One", empty)
+        with pytest.raises(ValidationError, match="SCs of journal 'J1' are not a non-empty, strictly"):
+            corpus_of({"J1": ()})
+
+    @pytest.mark.parametrize("journals, scs, message", [
+        ({"": ("GEO",)}, frozenset({"GEO"}), "empty journal_id"),
+        ({"J1": ("GEO",)}, frozenset({"GEO", ""}), "empty sc_id"),
+    ])
+    def test_empty_ids_rejected(self, journals, scs, message):
+        with pytest.raises(ValidationError, match=message):
+            corpus_of(journals, scs)
 
     def test_order_does_not_depend_on_the_hash_seed(self, tmp_path):
         """Memberships and an external profile's SC order agree under two hash seeds."""
@@ -206,7 +235,7 @@ class TestMembershipOrder:
             "from ebdi import Dimension, build_profile, load_corpus\n"
             "corpus = load_corpus(*sys.argv[1:])\n"
             "profile = build_profile(corpus, 'F', 'SC001', Dimension.CITING)\n"
-            "print(json.dumps([list(corpus.journals['P'].sc_memberships), list(profile.external_counts)]))\n"
+            "print(json.dumps([list(corpus.journals['P']), list(profile.external_counts)]))\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -332,21 +361,21 @@ class TestLoadEdges:
 
 class TestCorpusIntegrity:
     def test_edge_to_unknown_journal_rejected(self):
-        sc = {"A": SubjectCategory("A", "A")}
-        journals = {"J1": Journal("J1", "One", frozenset({"A"}))}
+        sc = frozenset({"A"})
+        journals = {"J1": ("A",)}
         bad_citations = {("J1", Dimension.CITED): {"JX": 1}}
         with pytest.raises(ValidationError, match="unknown journal 'JX'"):
             Corpus(sc_registry=sc, journals=journals, citations=bad_citations, n_categories=1)
 
     def test_membership_to_unknown_sc_rejected(self):
-        sc = {"A": SubjectCategory("A", "A")}
-        journals = {"J1": Journal("J1", "One", frozenset({"A", "Z"}))}
-        with pytest.raises(ValidationError, match="unknown sc_id 'Z'"):
+        sc = frozenset({"A"})
+        journals = {"J1": ("A", "Z")}
+        with pytest.raises(ValidationError, match="journal 'J1' references unknown sc_id 'Z'"):
             Corpus(sc_registry=sc, journals=journals, citations={}, n_categories=2)
 
     def test_negative_count_rejected(self):
-        sc = {"A": SubjectCategory("A", "A")}
-        journals = {"J1": Journal("J1", "One", frozenset({"A"}))}
+        sc = frozenset({"A"})
+        journals = {"J1": ("A",)}
         citations = {("J1", Dimension.CITING): {"J1": -1}}
         with pytest.raises(ValidationError, match=r"negative citation count in \(J1, CITING\)"):
             Corpus(sc_registry=sc, journals=journals, citations=citations, n_categories=1)
@@ -394,7 +423,7 @@ class TestIsInternal:
     focal=st.sampled_from(["A", "B", "C", "D"]),
 )
 def test_is_internal_is_pure_membership_test(memberships, focal):
-    sc = {s: SubjectCategory(s, s) for s in "ABCD"}
-    journals = {"P": Journal("P", "Partner", frozenset(memberships))}
+    sc = frozenset("ABCD")
+    journals = {"P": tuple(sorted(memberships))}
     corpus = Corpus(sc_registry=sc, journals=journals, citations={}, n_categories=4)
     assert is_internal(corpus, "P", focal) == (focal in memberships)

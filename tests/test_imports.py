@@ -109,7 +109,7 @@ PUBLIC_NAMES = {
 }
 #: names the package no longer re-exports, by the module that defines them
 MODULE_NAMES = {
-    "ebdi.corpus": ("Journal", "SubjectCategory", "load_classification"),
+    "ebdi.corpus": ("load_classification",),
     "ebdi.metrics": ("ebdi_value", "shannon_entropy"),
     "ebdi.report": ("RunConfig", "export_sc_network", "run_correlations", "run_indicators", "run_roles"),
     "ebdi.stats": ("CorrelationResult", "MetricSeries", "correlate", "load_metric_series",
@@ -144,3 +144,19 @@ def test_names_outside_the_surface_import_from_their_module():
         for name in names:
             assert getattr(module, name, None) is not None, (module_name, name)
             assert name not in ebdi.__all__
+
+
+def test_oracle_imports_without_the_package():
+    """``tests/oracle.py`` imports with no ``ebdi`` reachable, as ``benchmarks/run.py`` imports it.
+
+    ``-S`` and an emptied ``PYTHONPATH`` keep both ``src/`` and an editable
+    install off the child's path.
+    """
+    child = "import sys; sys.path.insert(0, sys.argv[1]); import oracle; print('ebdi' in sys.modules)"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", child, str(REPO / "tests")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

@@ -446,7 +446,7 @@ class TestOneProfilePerUnitDimension:
     def test_indicators_every_membership(self, tmp_path, profile_calls):
         corpus = load_corpus(*SAMPLE_PATHS.values())
         run_indicators(RunConfig(**SAMPLE_PATHS, out_dir=tmp_path))
-        pairs = [(jid, sc) for jid, journal in corpus.journals.items() for sc in journal.sc_memberships]
+        pairs = [(jid, sc) for jid, scs in corpus.journals.items() for sc in scs]
         assert sorted(profile_calls) == self.expected(pairs)
 
     def test_indicators_one_focal_sc(self, tmp_path, profile_calls):
