@@ -86,18 +86,14 @@ def main(argv: list[str] | None = None) -> int:
         # every flag's dest is its RunConfig field; RunConfig types and checks them
         config = RunConfig(**{field.name: getattr(args, field.name)
                               for field in fields(RunConfig) if hasattr(args, field.name)})
-        if args.command == "indicators":
-            count = run_indicators(config)
-            print(f"indicators: {count} rows -> {config.out_dir}")
-        elif args.command == "roles":
-            artifact = run_roles(config)
-            print(f"roles: {len(artifact['rows'])} units -> {config.out_dir}")
-        elif args.command == "correlate":
-            rows = run_correlations(config)
-            print(f"correlations: {len(rows)} pairs -> {config.out_dir}")
-        elif args.command == "network":
-            rows = export_sc_network(config)
-            print(f"network: {len(rows)} edges -> {config.out_dir}")
+        # built per call, so that a stage replaced on this module (as the benchmark tracer does) runs
+        stage, label, noun = {
+            "indicators": (run_indicators, "indicators", "rows"),
+            "roles": (run_roles, "roles", "units"),
+            "correlate": (run_correlations, "correlations", "pairs"),
+            "network": (export_sc_network, "network", "edges"),
+        }[args.command]
+        print(f"{label}: {stage(config)} {noun} -> {config.out_dir}")
     except ComputationError as exc:
         log.error("internal arithmetic error: %s", exc)
         return 2

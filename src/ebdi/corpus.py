@@ -343,6 +343,8 @@ def load_classification(
                 )
         scs = tuple(sorted(sc_registry[sc_id] for sc_id in tokens))
         journals[journal_id] = shared.setdefault(scs, scs)
+    if not journals:
+        raise LoadError("no journals", path=journal_file)
 
     n = len(sc_registry) if n_categories is None else n_categories
     return Corpus(sc_registry=frozenset(sc_registry), journals=journals, citations={}, n_categories=n)

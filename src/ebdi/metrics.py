@@ -60,7 +60,8 @@ class CitationProfile:
     a partner classified in k external SCs contributes its full count to each
     of the k SCs, so the values may sum to more than ``external_total``;
     under FRACTIONAL counting each SC receives count/k and the values sum to
-    ``external_total`` up to rounding. Each value is the exact sum of its
+    ``external_total`` up to rounding (:func:`build_profile` checks the exact
+    integer sum before it divides). Each value is the exact sum of its
     shares, correctly rounded once; :func:`build_profile` gives WHOLE counts
     as ints. The map's order is unspecified: the entropy does not depend on it.
     """
@@ -80,12 +81,6 @@ class CitationProfile:
             raise ComputationError("external_counts must hold strictly positive values")
         if self.focal_sc in self.external_counts:
             raise ComputationError("focal SC leaked into the external distribution")
-        if self.counting_mode is _FRACTIONAL:
-            attributed = math.fsum(self.external_counts.values())
-            if abs(attributed - self.external_total) > _CHECK_TOL * max(1.0, self.external_total):
-                raise ComputationError(
-                    "fractional external attribution does not sum to the raw external total"
-                )
 
     @property
     def total(self) -> float:
@@ -222,6 +217,8 @@ def build_profile(
             share = count * (scale // len(partner_scs)) if fractional else count
             for sc_id in partner_scs:
                 external[sc_id] = external.get(sc_id, 0) + share
+    if fractional and sum(external.values()) != scale * external_total:
+        raise ComputationError("fractional external attribution does not sum to the raw external total")
 
     # the fields in order: keyword arguments cost about 0.5 µs a record
     return CitationProfile(

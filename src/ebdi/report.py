@@ -1,13 +1,12 @@
 """Pipeline orchestration and artifact emission: a thin view over :mod:`ebdi.metrics`.
 
-Each ``run_*`` function loads what it needs, computes one artifact and writes
-it under the configured output directory. :func:`run_indicators` streams its
-rows to the file as each unit is scored and returns their number; the other
-stages return the rows they wrote. The units a corpus stage scores come from
-one list, :func:`_units`, which also rejects an unknown focal SC; every unit
-is scored by :func:`~ebdi.metrics.compute_journal_indicators`. Every table
-goes through one streaming writer, :func:`_write_table`, as tuples of cells
-in column order. Outputs are deterministic: row order is fixed (unit, SC, dimension), numbers are
+Each stage (``run_*`` and :func:`export_sc_network`) loads what it needs,
+builds its table's rows as tuples of cells in column order, hands them to the
+one streaming writer, :func:`_write_table`, and returns the number of rows
+written. The units a corpus stage scores come from one list, :func:`_units`,
+which also rejects an unknown focal SC; every unit is scored by
+:func:`~ebdi.metrics.compute_journal_indicators`. Outputs are deterministic:
+row order is fixed (unit, SC, dimension), numbers are
 full-precision in JSON and rounded to the configured decimals in CSV, and no
 timestamps or environment details leak into any file. Each table ``<stem>``
 also gets its own ``<stem>.meta.json`` recording the parameters that shaped
@@ -23,9 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import combinations
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -161,11 +159,11 @@ _json_row = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": "))
 def _write_table(
     config: RunConfig, stem: str, columns: Sequence[str], rows: Iterable[Sequence[object]],
     command: str, corpus: Corpus | None, **extra: object,
-) -> tuple[int, dict[str, object]]:
+) -> int:
     """Stream ``rows``, each a sequence of cells in ``columns`` order, to ``<stem>.csv|json``.
 
     Also writes ``<stem>.meta.json`` and logs both; returns the number of rows
-    written and the meta. CSV cells go through one formatter per column
+    written. CSV cells go through one formatter per column
     (:func:`_csv_formats`) to the C writer; JSON cells keep full precision.
     The meta does not depend on the rows, so a JSON table opens with it and
     then takes each row as it comes; the bytes equal
@@ -215,7 +213,7 @@ def _write_table(
     meta_path = config.out_dir / f"{stem}.meta.json"
     meta_path.write_text(_json_text(meta, 0) + "\n", encoding="utf-8", newline="")
     log.info("wrote %s (%d rows)", path, count)
-    return count, meta
+    return count
 
 
 def _units(
@@ -314,14 +312,14 @@ def run_indicators(config: RunConfig) -> int:
                     yield (unit, sc_id, dimension, score.pct_internal, score.external_total,
                            score.entropy, score.hmax, score.pct_hmax, score.ebdi, score.raw_diversity)
 
-    count, _ = _write_table(config, "indicators", INDICATOR_COLUMNS, rows(), "indicators", corpus)
+    count = _write_table(config, "indicators", INDICATOR_COLUMNS, rows(), "indicators", corpus)
     if missing:
         log.warning("%d (unit, SC, dimension) rows have no citations; emitted as missing", missing)
     return count
 
 
-def run_roles(config: RunConfig) -> dict[str, object]:
-    """Role report plus the quadrant scatter plot.
+def run_roles(config: RunConfig) -> int:
+    """Role report plus the quadrant scatter plot; returns the number of units reported.
 
     Journal units get HIGH/LOW levels against each dimension's median and the
     four-quadrant role; discipline units get the importer/exporter type from
@@ -337,7 +335,7 @@ def run_roles(config: RunConfig) -> dict[str, object]:
             f"only {len(classified)} units have indicator values in both dimensions; need at least 2"
         )
 
-    rows: list[dict[str, object]] = []
+    rows: list[tuple[object, ...]] = []
     if config.unit_type == "journal":
         cited_scores = {unit: cited for unit, cited, _ in pairs if cited is not None}
         citing_scores = {unit: citing for unit, _, citing in pairs if citing is not None}
@@ -347,16 +345,13 @@ def run_roles(config: RunConfig) -> dict[str, object]:
             role = by_unit.get(unit)  # units missing both dimensions have no assignment
             cited_level = role.cited_level if role else None
             citing_level = role.citing_level if role else None
-            rows.append({
-                "unit_id": unit,
-                "cited_ebdi": cited,
-                "citing_ebdi": citing,
-                "cited_level": cited_level.value if cited_level else None,
-                "citing_level": citing_level.value if citing_level else None,
-                "role": role.role.value if role and role.role else UNCLASSIFIED,
-                "cited_threshold": thresholds[Dimension.CITED],
-                "citing_threshold": thresholds[Dimension.CITING],
-            })
+            rows.append((
+                unit, cited, citing,
+                cited_level.value if cited_level else None,
+                citing_level.value if citing_level else None,
+                role.role.value if role and role.role else UNCLASSIFIED,
+                thresholds[Dimension.CITED], thresholds[Dimension.CITING],
+            ))
         columns = ROLES_JOURNAL_COLUMNS
         quadrants = {
             "top_right": "CORE",
@@ -371,13 +366,7 @@ def run_roles(config: RunConfig) -> dict[str, object]:
         }
         for unit, cited, citing in pairs:
             difference, direction = classify_discipline(cited, citing) or (None, None)
-            rows.append({
-                "unit_id": unit,
-                "cited_ebdi": cited,
-                "citing_ebdi": citing,
-                "difference": difference,
-                "type": direction.value if direction else UNCLASSIFIED,
-            })
+            rows.append((unit, cited, citing, difference, direction.value if direction else UNCLASSIFIED))
         columns = ROLES_DISCIPLINE_COLUMNS
         quadrants = None
 
@@ -385,8 +374,8 @@ def run_roles(config: RunConfig) -> dict[str, object]:
         log.warning("%d units lack a dimension and are reported unclassified",
                     len(pairs) - len(classified))
 
-    _, meta = _write_table(
-        config, "roles", columns, map(itemgetter(*columns), rows), "roles", corpus,
+    count = _write_table(
+        config, "roles", columns, rows, "roles", corpus,
         unit_type=config.unit_type,
         cited_threshold=thresholds[Dimension.CITED],
         citing_threshold=thresholds[Dimension.CITING],
@@ -405,10 +394,10 @@ def run_roles(config: RunConfig) -> dict[str, object]:
     with svg_path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.writelines(svg_lines)
     log.info("wrote %s (%d points)", svg_path, len(classified))
-    return {"meta": meta, "rows": rows}
+    return count
 
 
-def run_correlations(config: RunConfig) -> list[dict[str, object]]:
+def run_correlations(config: RunConfig) -> int:
     """Pairwise rank correlations among the indicator series and supplied metrics."""
     if config.metrics is None:
         raise ValidationError("correlation runs need a metrics file (--metrics)")
@@ -419,24 +408,21 @@ def run_correlations(config: RunConfig) -> list[dict[str, object]]:
     ]
     series.extend(load_metric_series(config.metrics))
 
-    rows: list[dict[str, object]] = []
-    for x, y in combinations(series, 2):
-        try:
-            result = correlate(x, y)
-        except ValidationError as exc:
-            log.warning("skipping pair (%s, %s): %s", x.metric_name, y.metric_name, exc)
-            continue
-        rows.append(asdict(result))  # its fields are CORRELATION_COLUMNS
+    def rows() -> Iterator[tuple[object, ...]]:
+        for x, y in combinations(series, 2):
+            try:
+                result = correlate(x, y)
+            except ValidationError as exc:
+                log.warning("skipping pair (%s, %s): %s", x.metric_name, y.metric_name, exc)
+                continue
+            yield (result.metric_x, result.metric_y, result.n, result.rho,
+                   result.p_two_tailed, result.method_note)
 
-    _write_table(
-        config, "correlations", CORRELATION_COLUMNS, map(itemgetter(*CORRELATION_COLUMNS), rows),
-        "correlate", corpus,
-        metrics_file=str(config.metrics),
-    )
-    return rows
+    return _write_table(config, "correlations", CORRELATION_COLUMNS, rows(), "correlate", corpus,
+                        metrics_file=str(config.metrics))
 
 
-def export_sc_network(config: RunConfig) -> list[dict[str, object]]:
+def export_sc_network(config: RunConfig) -> int:
     """Edge list of the SC-level citation network, trimmed to the top-k SCs.
 
     SCs are ranked by their exact total incident citation volume (the sum of
@@ -466,18 +452,14 @@ def export_sc_network(config: RunConfig) -> list[dict[str, object]]:
     retained = set(ranked[: config.top_k])
     log.info("kept %d SCs by citation volume", len(retained))
 
-    rows = [
-        {"source_sc": source, "target_sc": target, "weight": share / denominator}
+    edges = sorted(
+        (-share, source, target)
         for source, targets in shares.items()
         for target, share in targets.items()
         if source in retained or target in retained
-    ]
-    rows.sort(key=lambda row: (
-        -shares[row["source_sc"]][row["target_sc"]], row["source_sc"], row["target_sc"],
-    ))
-
-    _write_table(
-        config, "sc_network", NETWORK_COLUMNS, map(itemgetter(*NETWORK_COLUMNS), rows), "network", corpus,
+    )
+    return _write_table(
+        config, "sc_network", NETWORK_COLUMNS,
+        ((source, target, -negated / denominator) for negated, source, target in edges), "network", corpus,
         dimension=config.dimension.value, top_k=config.top_k,
     )
-    return rows

@@ -139,6 +139,8 @@ def test_values_are_the_correctly_rounded_exact_sums(seed, mode):
                 for sc in partner_scs:
                     exact[sc] = exact.get(sc, 0) + count * weight(partner_scs)
         assert profile.external_counts == {sc: float(value) for sc, value in exact.items() if value}
+        if mode is CountingMode.FRACTIONAL:
+            assert sum(exact.values()) == profile.external_total
 
     for dimension, (network, denominator) in networks(corpus, mode).items():
         exact_network: dict[tuple[str, str], Fraction] = {}

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import ebdi.cli as cli_module
 from ebdi import ComputationError
 from ebdi.cli import main
 from conftest import write_corpus_files
@@ -172,6 +173,32 @@ def test_network_ranks_scs_on_exact_volumes(tmp_path, fmt):
         assert all(isinstance(r["weight"], float) for r in rows)
 
 
+@pytest.mark.parametrize("command, stage, summary", [
+    (["indicators"], "run_indicators", "indicators: 20 rows"),
+    (["roles", "--focal-sc", "LIS"], "run_roles", "roles: 4 units"),
+    (["correlate", "--focal-sc", "LIS", "--metrics", str(SAMPLE / "metrics.csv")],
+     "run_correlations", "correlations: 6 pairs"),
+    (["network", "--dimension", "cited"], "export_sc_network", "network: 11 edges"),
+])
+def test_each_stage_is_called_through_its_module_attribute(tmp_path, monkeypatch, capsys,
+                                                           command, stage, summary):
+    """A stage replaced on ``ebdi.cli`` after import (the benchmark tracer's wrappers) is the one run."""
+    calls = []
+    original = getattr(cli_module, stage)
+
+    def counted(config):
+        calls.append(config.out_dir)
+        return original(config)
+
+    monkeypatch.setattr(cli_module, stage, counted)
+    sample = {"classification": SAMPLE / "subject_categories.csv",
+              "journals": SAMPLE / "journals.csv", "citations": SAMPLE / "citations.csv"}
+    out = tmp_path / "out"
+    assert main([*command, *corpus_args(sample), "--out", str(out)]) == 0
+    assert calls == [out]
+    assert capsys.readouterr().out == f"{summary} -> {out}\n"
+
+
 def test_missing_input_file_exits_1(tmp_path, corpus_paths):
     code = main(["indicators",
                  "--classification", str(tmp_path / "nope.csv"),
@@ -179,6 +206,18 @@ def test_missing_input_file_exits_1(tmp_path, corpus_paths):
                  "--citations", str(corpus_paths["citations"]),
                  "--out", str(tmp_path / "out")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["indicators"], ["network", "--dimension", "cited"], ["roles", "--unit-type", "discipline"],
+])
+def test_header_only_journal_file_exits_1(tmp_path, caplog, command):
+    paths = write_corpus_files(tmp_path, sc_rows=[("A", "A", ""), ("B", "B", "")],
+                               journal_rows=[], citation_rows=[])
+    out = tmp_path / "out"
+    assert main([*command, *corpus_args(paths), "--out", str(out)]) == 1
+    assert f"{paths['journals']}: no journals" in caplog.text
+    assert not out.exists()
 
 
 def test_unknown_focal_sc_in_discipline_roles_exits_1(tmp_path, caplog):

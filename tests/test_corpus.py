@@ -85,6 +85,15 @@ class TestLoadClassification:
             load_corpus(paths["classification"], paths["journals"], paths["citations"])
         assert str(caught.value) == f"{paths['classification']}: no subject categories"
 
+    def test_header_only_journal_file_named(self, tmp_path):
+        """A valid classification with no journals would score nothing and still exit 0."""
+        paths = write_corpus_files(
+            tmp_path, sc_rows=[("A", "A", ""), ("B", "B", "")], journal_rows=[], citation_rows=[],
+        )
+        with pytest.raises(LoadError) as caught:
+            load_corpus(paths["classification"], paths["journals"], paths["citations"])
+        assert str(caught.value) == f"{paths['journals']}: no journals"
+
     def test_sc_id_with_semicolon_rejected(self, tmp_path):
         """Memberships split on ';', so no journal could name such an SC, yet it would count in n."""
         paths = write_corpus_files(

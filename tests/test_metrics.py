@@ -171,6 +171,12 @@ class TestBuildProfile:
         profile = build_profile(corpus, "J0", "A", Dimension.CITING, CountingMode.FRACTIONAL)
         assert profile.external_counts["C"] == float(Fraction(5, 3)) == 1.6666666666666667
 
+    def test_fractional_attribution_checked_exactly(self, small_corpus):
+        """The integer shares of each external citation must sum to its count in units of 1/L."""
+        small_corpus.__dict__["membership_lcm"] = 3  # no multiple of the two-SC partner's 2
+        with pytest.raises(ComputationError, match="does not sum"):
+            build_profile(small_corpus, "U", "F", Dimension.CITED, CountingMode.FRACTIONAL)
+
     def test_zero_count_edges_ignored(self):
         corpus = make_corpus(
             sc_rows=[("F", "F", ""), ("A", "A", "")],

@@ -83,6 +83,18 @@ def read_json_rows(out_dir, stem="indicators"):
     return json.loads((out_dir / f"{stem}.json").read_text(encoding="utf-8"))["rows"]
 
 
+def stage_rows(stage, config, stem):
+    """Run a stage on a JSON ``config``: the full-precision rows of its table, as many as it returns."""
+    count = stage(config)
+    rows = read_json_rows(config.out_dir, stem)
+    assert count == len(rows)
+    return rows
+
+
+def read_meta(out_dir, stem="t"):
+    return json.loads((out_dir / f"{stem}.meta.json").read_text(encoding="utf-8"))
+
+
 def written_files(out_dir):
     return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
@@ -300,10 +312,13 @@ class TestWriteTable:
     ])
     def test_streamed_json_equals_one_dump(self, tmp_path, rows):
         config = RunConfig(out_dir=tmp_path, fmt="json")
-        count, meta = report_module._write_table(
+        count = report_module._write_table(
             config, "t", self.COLUMNS, iter(rows), "cmd", None, note="ä"
         )
         assert count == len(rows)
+        meta = read_meta(tmp_path)
+        assert meta == {"command": "cmd", "counting_mode": "whole", "n_categories": None, "focal_sc": None,
+                        "format": "json", "decimals": 2, "note": "ä"}
         dump = lambda value: json.dumps(value, indent=2, ensure_ascii=False) + "\n"
         text = (tmp_path / "t.json").read_text(encoding="utf-8")
         dicts = [dict(zip(self.COLUMNS, row)) for row in rows]
@@ -315,17 +330,18 @@ class TestWriteTable:
     @given(table=scalar_tables())
     def test_streamed_json_equals_one_dump_for_any_scalar_cells(self, tmp_path, table):
         columns, rows = table
-        count, meta = report_module._write_table(
+        count = report_module._write_table(
             RunConfig(out_dir=tmp_path, fmt="json"), "t", columns, iter(rows), "cmd", None
         )
         assert count == len(rows)
+        meta = read_meta(tmp_path)
         dicts = [dict(zip(columns, row)) for row in rows]
         expected = json.dumps({"meta": meta, "rows": dicts}, indent=2, ensure_ascii=False) + "\n"
         assert (tmp_path / "t.json").read_text(encoding="utf-8") == expected
 
     def test_streamed_csv_equals_csv_writer(self, tmp_path):
         rows = [self.ONE, self.NON_ASCII, self.NONE_CELLS, self.SEVENTEEN_DIGITS]
-        count, _ = report_module._write_table(
+        count = report_module._write_table(
             RunConfig(out_dir=tmp_path, decimals=3), "t", self.COLUMNS, iter(rows), "cmd", None
         )
         assert count == len(rows)
@@ -408,8 +424,9 @@ def test_table_cells_follow_the_per_cell_rules(tmp_path, columns, decimals, data
     rows = data.draw(st.lists(row | missing, max_size=6))
     for fmt in ("csv", "json"):
         config = RunConfig(out_dir=tmp_path, fmt=fmt, decimals=decimals)
-        count, meta = report_module._write_table(config, "t", columns, iter(rows), "cmd", None)
+        count = report_module._write_table(config, "t", columns, iter(rows), "cmd", None)
         assert count == len(rows)
+        meta = read_meta(tmp_path)
         if fmt == "csv":
             expected = io.StringIO()
             csv.writer(expected, lineterminator="\n").writerows([columns, *(
@@ -471,10 +488,9 @@ class TestRunRoles:
         rng = random.Random(8)
         values = [(f"u{i:02d}", rng.uniform(0, 4), rng.uniform(0, 4)) for i in range(20)]
         scores = write_scores(tmp_path, values)
-        config = RunConfig(scores=scores, out_dir=tmp_path / "out")
-        artifact = run_roles(config)
+        config = RunConfig(scores=scores, out_dir=tmp_path / "out", fmt="json")
         counts = {}
-        for row in artifact["rows"]:
+        for row in stage_rows(run_roles, config, "roles"):
             counts[row["role"]] = counts.get(row["role"], 0) + 1
         assert sum(counts.values()) == 20
         assert set(counts) <= {
@@ -485,9 +501,8 @@ class TestRunRoles:
         scores = write_scores(
             tmp_path, [("a", 1.0, 3.0), ("b", 2.0, 2.0), ("c", 3.0, 1.0)]
         )
-        config = RunConfig(scores=scores, out_dir=tmp_path / "out")
-        artifact = run_roles(config)
-        by_unit = {row["unit_id"]: row for row in artifact["rows"]}
+        config = RunConfig(scores=scores, out_dir=tmp_path / "out", fmt="json")
+        by_unit = {row["unit_id"]: row for row in stage_rows(run_roles, config, "roles")}
         assert by_unit["b"]["cited_threshold"] == 2.0
         assert by_unit["b"]["citing_threshold"] == 2.0
         assert by_unit["b"]["role"] == "CORE"
@@ -499,9 +514,8 @@ class TestRunRoles:
             tmp_path,
             [(name, cited, citing) for name, cited, citing, _, _ in REFERENCE_DISCIPLINE_ROWS],
         )
-        config = RunConfig(scores=scores, unit_type="discipline", out_dir=tmp_path / "out")
-        artifact = run_roles(config)
-        by_unit = {row["unit_id"]: row for row in artifact["rows"]}
+        config = RunConfig(scores=scores, unit_type="discipline", out_dir=tmp_path / "out", fmt="json")
+        by_unit = {row["unit_id"]: row for row in stage_rows(run_roles, config, "roles")}
         assert len(by_unit) == 12
         for name, _, _, reported_diff, expected in REFERENCE_DISCIPLINE_ROWS:
             assert by_unit[name]["type"] == expected, name
@@ -523,9 +537,8 @@ class TestRunRoles:
             ("J2", "J1", "CITING", 2), ("J2", "J2", "CITING", 2),
         ]
         paths = write_corpus_files(tmp_path, sc_rows, journal_rows, citation_rows)
-        config = RunConfig(**paths, unit_type="discipline", out_dir=tmp_path / "out")
-        artifact = run_roles(config)
-        by_unit = {row["unit_id"]: row for row in artifact["rows"]}
+        config = RunConfig(**paths, unit_type="discipline", out_dir=tmp_path / "out", fmt="json")
+        by_unit = {row["unit_id"]: row for row in stage_rows(run_roles, config, "roles")}
         assert set(by_unit) == {"A", "B"}
         assert by_unit["A"]["type"] in {"IMPORTER", "EXPORTER", "BALANCED"}
 
@@ -539,9 +552,8 @@ class TestRunRoles:
         scores = write_scores(
             tmp_path, [("a", 1.0, 2.0), ("b", 2.0, 1.0), ("c", 3.0, None)]
         )
-        config = RunConfig(scores=scores, out_dir=tmp_path / "out")
-        artifact = run_roles(config)
-        by_unit = {row["unit_id"]: row for row in artifact["rows"]}
+        config = RunConfig(scores=scores, out_dir=tmp_path / "out", fmt="json")
+        by_unit = {row["unit_id"]: row for row in stage_rows(run_roles, config, "roles")}
         assert by_unit["c"]["role"] == "UNCLASSIFIED"
         assert by_unit["c"]["citing_level"] is None
 
@@ -557,8 +569,8 @@ class TestRunRoles:
         assume(sum(1 for cited, citing in cells if cited is not None and citing is not None) >= 2)
         values = [(f"u{i:02d}", cited, citing) for i, (cited, citing) in enumerate(cells)]
         config = RunConfig(scores=write_scores(tmp_path, values), unit_type=unit_type,
-                           out_dir=tmp_path / "out")
-        rows = run_roles(config)["rows"]
+                           out_dir=tmp_path / "out", fmt="json")
+        rows = stage_rows(run_roles, config, "roles")
         assert [row["unit_id"] for row in rows] == [unit for unit, _, _ in values]
 
         if unit_type == "discipline":
@@ -685,8 +697,8 @@ class TestRunCorrelations:
         metrics = self._metrics_file(
             tmp_path, [(u, "impact", repr(impact[u])) for u in units]
         )
-        config = RunConfig(scores=scores, metrics=metrics, out_dir=tmp_path / "out")
-        rows = run_correlations(config)
+        config = RunConfig(scores=scores, metrics=metrics, out_dir=tmp_path / "out", fmt="json")
+        rows = stage_rows(run_correlations, config, "correlations")
         assert [(r["metric_x"], r["metric_y"]) for r in rows] == [
             ("cited_ebdi", "citing_ebdi"),
             ("cited_ebdi", "impact"),
@@ -731,7 +743,7 @@ class TestRunCorrelations:
             for fmt in ("csv", "json"):
                 out = tmp_path / name / fmt
                 config = RunConfig(scores=scores, metrics=metrics, out_dir=out, fmt=fmt, decimals=17)
-                assert len(run_correlations(config)) == 10
+                assert run_correlations(config) == 10
             tables.append([
                 (tmp_path / name / "csv" / "correlations.csv").read_bytes(),
                 json.loads((tmp_path / name / "json" / "correlations.json").read_text())["rows"],
@@ -745,9 +757,9 @@ class TestRunCorrelations:
         metrics = self._metrics_file(
             tmp_path, [(u, "flat", "7.0") for u in ("a", "b", "c")]
         )
-        config = RunConfig(scores=scores, metrics=metrics, out_dir=tmp_path / "out")
+        config = RunConfig(scores=scores, metrics=metrics, out_dir=tmp_path / "out", fmt="json")
         with caplog.at_level(logging.WARNING):
-            rows = run_correlations(config)
+            rows = stage_rows(run_correlations, config, "correlations")
         assert [(r["metric_x"], r["metric_y"]) for r in rows] == [("cited_ebdi", "citing_ebdi")]
         assert "constant" in caplog.text
 
@@ -767,9 +779,9 @@ class TestRunCorrelations:
             tmp_path, [(f"J{i}", "impact", str(1.0 + i)) for i in range(4)]
         )
         config = RunConfig(
-            **paths, focal_sc="F", metrics=metrics, out_dir=tmp_path / "out"
+            **paths, focal_sc="F", metrics=metrics, out_dir=tmp_path / "out", fmt="json"
         )
-        rows = run_correlations(config)
+        rows = stage_rows(run_correlations, config, "correlations")
         assert {(r["metric_x"], r["metric_y"]) for r in rows} == {
             ("cited_ebdi", "citing_ebdi"),
             ("cited_ebdi", "impact"),
@@ -801,10 +813,10 @@ class TestExportScNetwork:
     def test_top_k_larger_than_available_warns_and_emits_all(self, tmp_path, caplog):
         paths, citation_rows = self._corpus_paths(tmp_path)
         config = RunConfig(
-            **paths, dimension=Dimension.CITED, top_k=10, out_dir=tmp_path / "out"
+            **paths, dimension=Dimension.CITED, top_k=10, out_dir=tmp_path / "out", fmt="json"
         )
         with caplog.at_level(logging.WARNING):
-            rows = export_sc_network(config)
+            rows = stage_rows(export_sc_network, config, "sc_network")
         assert "emitting all" in caplog.text
         memberships = {"JA": {"A"}, "JB": {"B"}, "JAB": {"A", "B"}, "JC": {"C"}}
         expected = brute_sc_network(memberships, citation_rows, "CITED", "whole")
@@ -814,9 +826,9 @@ class TestExportScNetwork:
     def test_top_k_one_keeps_only_edges_incident_to_top_sc(self, tmp_path):
         paths, citation_rows = self._corpus_paths(tmp_path)
         config = RunConfig(
-            **paths, dimension=Dimension.CITED, top_k=1, out_dir=tmp_path / "out"
+            **paths, dimension=Dimension.CITED, top_k=1, out_dir=tmp_path / "out", fmt="json"
         )
-        rows = export_sc_network(config)
+        rows = stage_rows(export_sc_network, config, "sc_network")
         # volumes (whole counting): A->B 14, A->A 4, B->C 2: A has 18, B 16, C 2
         assert rows  # at least the top SC's edges survive
         for row in rows:
@@ -828,9 +840,9 @@ class TestExportScNetwork:
         paths, citation_rows = self._corpus_paths(tmp_path)
         config = RunConfig(
             **paths, dimension=Dimension.CITED, top_k=10,
-            counting=CountingMode.FRACTIONAL, out_dir=tmp_path / "out",
+            counting=CountingMode.FRACTIONAL, out_dir=tmp_path / "out", fmt="json",
         )
-        rows = export_sc_network(config)
+        rows = stage_rows(export_sc_network, config, "sc_network")
         memberships = {"JA": {"A"}, "JB": {"B"}, "JAB": {"A", "B"}, "JC": {"C"}}
         expected = brute_sc_network(memberships, citation_rows, "CITED", "fractional")
         got = {(r["source_sc"], r["target_sc"]): r["weight"] for r in rows}
@@ -893,10 +905,10 @@ class TestExportScNetwork:
                         )
                         caplog.clear()
                         with caplog.at_level(logging.WARNING):
-                            rows = export_sc_network(RunConfig(
+                            rows = stage_rows(export_sc_network, RunConfig(
                                 **paths, dimension=dimension, counting=mode, top_k=top_k,
-                                out_dir=tmp_path / "out",
-                            ))
+                                out_dir=tmp_path / "out", fmt="json",
+                            ), "sc_network")
                         got = [(r["source_sc"], r["target_sc"], r["weight"]) for r in rows]
                         assert got == [(s, t, float(w)) for s, t, w in expected]
                         for source, target, weight in got:
@@ -907,11 +919,14 @@ class TestExportScNetwork:
     def test_rows_sorted_by_weight_descending(self, tmp_path):
         paths, _ = self._corpus_paths(tmp_path)
         config = RunConfig(
-            **paths, dimension=Dimension.CITED, top_k=3, out_dir=tmp_path / "out"
+            **paths, dimension=Dimension.CITED, top_k=3, out_dir=tmp_path / "out", fmt="json"
         )
-        rows = export_sc_network(config)
+        rows = stage_rows(export_sc_network, config, "sc_network")
         weights = [row["weight"] for row in rows]
         assert weights == sorted(weights, reverse=True)
+        assert export_sc_network(RunConfig(
+            **paths, dimension=Dimension.CITED, top_k=3, out_dir=tmp_path / "out"
+        )) == len(rows)
         csv_rows = read_csv(tmp_path / "out" / "sc_network.csv")
         assert [r["source_sc"] for r in csv_rows] == [r["source_sc"] for r in rows]
 
