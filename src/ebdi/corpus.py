@@ -21,7 +21,6 @@ import csv
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from operator import lt
@@ -70,7 +69,6 @@ class CountingMode(str, Enum):
             ) from None
 
 
-@dataclass(frozen=True)
 class Corpus:
     """Immutable registry of SCs, journals, and citation counts.
 
@@ -84,6 +82,9 @@ class Corpus:
     system, used downstream as the n of the maximum entropy ln(n). It defaults
     to the number of SCs in the classification file and may be overridden,
     but never below the number of distinct SCs actually used by journals.
+
+    The constructor checks all of this. Its four fields cannot be assigned
+    or deleted afterwards; the derived indexes are cached on first use.
     """
 
     sc_registry: frozenset[str]
@@ -91,11 +92,17 @@ class Corpus:
     citations: dict[tuple[str, Dimension], dict[str, int]]
     n_categories: int
 
-    def __post_init__(self) -> None:
-        if "" in self.sc_registry:
+    def __init__(
+        self,
+        sc_registry: frozenset[str],
+        journals: dict[str, tuple[str, ...]],
+        citations: dict[tuple[str, Dimension], dict[str, int]],
+        n_categories: int,
+    ) -> None:
+        if "" in sc_registry:
             raise ValidationError("subject category with empty sc_id")
         used_scs: set[str] = set()
-        for journal_id, scs in self.journals.items():
+        for journal_id, scs in journals.items():
             if not journal_id:
                 raise ValidationError("journal with empty journal_id")
             if not (type(scs) is tuple and scs and all(map(lt, scs, scs[1:]))):
@@ -103,23 +110,32 @@ class Corpus:
                     f"SCs of journal {journal_id!r} are not a non-empty, strictly increasing tuple"
                 )
             for sc_id in scs:
-                if sc_id not in self.sc_registry:
+                if sc_id not in sc_registry:
                     raise ValidationError(f"journal {journal_id!r} references unknown sc_id {sc_id!r}")
             used_scs.update(scs)
-        journal_ids = self.journals.keys()
-        for (focal, dimension), partners in self.citations.items():
+        journal_ids = journals.keys()
+        for (focal, dimension), partners in citations.items():
             if focal not in journal_ids or not partners.keys() <= journal_ids:
                 unknown = [j for j in (focal, *partners) if j not in journal_ids]
                 raise ValidationError(f"edge references unknown journal {unknown[0]!r}")
             if min(partners.values(), default=0) < 0:
                 raise ValidationError(f"negative citation count in ({focal}, {dimension.value})")
-        if self.n_categories < 1:
+        if n_categories < 1:
             raise ValidationError("n_categories must be >= 1")
-        if self.n_categories < len(used_scs):
+        if n_categories < len(used_scs):
             raise ValidationError(
-                f"n_categories={self.n_categories} is below the {len(used_scs)} "
+                f"n_categories={n_categories} is below the {len(used_scs)} "
                 "distinct SCs used by journal memberships"
             )
+        # the instance dict, written directly: __setattr__ refuses every assignment
+        vars(self).update(sc_registry=sc_registry, journals=journals, citations=citations,
+                          n_categories=n_categories)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     # -- read-only conveniences -------------------------------------------------
 
@@ -415,7 +431,7 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
     for key, partners in citations.items():
         citations[key] = dict(sorted(partners.items()))
 
-    loaded = replace(corpus, citations=citations)
+    loaded = Corpus(corpus.sc_registry, corpus.journals, citations, corpus.n_categories)
     log.info(
         "loaded %d citation edges, total citation volume %d",
         loaded.edge_count, loaded.total_citations(),

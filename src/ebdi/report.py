@@ -15,6 +15,9 @@ entropy.
 
 Missing values (a unit with no citations in a dimension) are emitted as empty
 CSV cells / JSON nulls, never as zeros.
+
+A stage's one argument, :class:`RunConfig`, is an immutable named tuple
+whose constructor types and checks the run's inputs.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, CountingMode, Dimension, Source, load_corpus, parse_float, read_csv
 from .errors import LoadError, ValidationError
@@ -66,16 +68,7 @@ _RAW_COLUMNS = {"weight"}
 _CORPUS_INPUTS = ("classification", "journals", "citations", "focal_sc", "n_categories", "counting")
 
 
-@dataclass
-class RunConfig:
-    """Everything a pipeline stage needs to know; the CLI builds it from its flags.
-
-    Construction types and checks the inputs: ``counting`` and ``dimension``
-    take the enum or the CLI's string, and a scores run takes no corpus input.
-    ``counting`` is WHOLE for a corpus run that does not set it, and stays None
-    for a scores run, whose precomputed values have no counting mode.
-    """
-
+class _RunFields(NamedTuple):
     classification: Path | None = None
     journals: Path | None = None
     citations: Path | None = None
@@ -87,30 +80,50 @@ class RunConfig:
     counting: CountingMode | None = None
     dimension: Dimension | None = None
     top_k: int | None = None
-    out_dir: Path = field(default_factory=lambda: Path("."))
+    out_dir: Path = Path(".")
     fmt: str = "csv"  # "csv" or "json"
     decimals: int = 2
 
-    def __post_init__(self) -> None:
-        if self.counting is not None:
-            self.counting = CountingMode.parse(self.counting)
-        if self.dimension is not None:
-            self.dimension = Dimension.parse(self.dimension)
-        if self.scores is not None:
+
+class RunConfig(_RunFields):
+    """Everything a pipeline stage needs to know; the CLI builds it from its flags.
+
+    An immutable named tuple whose construction types and checks the inputs:
+    ``counting`` and ``dimension`` take the enum or the CLI's string, and a
+    scores run takes no corpus input. ``counting`` is WHOLE for a corpus run
+    that does not set it, and stays None for a scores run, whose precomputed
+    values have no counting mode. ``_replace`` builds a checked copy.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> "RunConfig":
+        config = _RunFields.__new__(cls, *args, **kwargs)  # unchecked, the defaults filled in
+        counting, dimension = config.counting, config.dimension
+        if counting is not None:
+            counting = CountingMode.parse(counting)
+        if dimension is not None:
+            dimension = Dimension.parse(dimension)
+        if config.scores is not None:
             given = [f"--{name.replace('_', '-')}" for name in _CORPUS_INPUTS
-                     if getattr(self, name) is not None]
+                     if getattr(config, name) is not None]
             if given:
                 raise ValidationError(f"--scores replaces the corpus; drop {', '.join(given)}")
-        elif self.counting is None:
-            self.counting = CountingMode.WHOLE
-        if self.fmt not in ("csv", "json"):
-            raise ValidationError(f"unknown output format {self.fmt!r}")
-        if not 0 <= self.decimals <= 20:  # a double has 17 significant digits; JSON keeps all
+        elif counting is None:
+            counting = CountingMode.WHOLE
+        if config.fmt not in ("csv", "json"):
+            raise ValidationError(f"unknown output format {config.fmt!r}")
+        if not 0 <= config.decimals <= 20:  # a double has 17 significant digits; JSON keeps all
             raise ValidationError("decimals must lie in [0, 20]")
-        if self.n_categories is not None and self.n_categories < 2:
+        if config.n_categories is not None and config.n_categories < 2:
             raise ValidationError("n_categories override must be >= 2")
-        if self.unit_type not in ("journal", "discipline"):
-            raise ValidationError(f"unknown unit type {self.unit_type!r}")
+        if config.unit_type not in ("journal", "discipline"):
+            raise ValidationError(f"unknown unit type {config.unit_type!r}")
+        return tuple.__new__(cls, {**config._asdict(), "counting": counting, "dimension": dimension}.values())
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "RunConfig":
+        return cls(*iterable)
 
 
 # -- shared plumbing --------------------------------------------------------------

@@ -11,6 +11,9 @@ library alone.
 
 Series are joined pairwise-complete: units missing from either series are
 dropped for that pair only.
+
+:class:`MetricSeries` and :class:`CorrelationResult` are named tuples; a
+series's constructor rejects non-finite values.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import add, mul, ne
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import Source, parse_float, read_csv
 from .errors import ComputationError, LoadError, ValidationError
@@ -40,19 +42,30 @@ _BETA_CF_MAX_TERMS = 10_000
 _BETA_CF_TINY = sys.float_info.min / sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class MetricSeries:
-    """Named per-unit values of one metric; units without a value are absent."""
-
+class _SeriesFields(NamedTuple):
     metric_name: str
     values: Mapping[str, float]
 
-    def __post_init__(self) -> None:
-        for unit_id, value in self.values.items():
+
+class MetricSeries(_SeriesFields):
+    """Named per-unit values of one metric; units without a value are absent.
+
+    A named tuple whose constructor (also through ``_make``, ``_replace``
+    and unpickling) rejects a non-finite value. It keeps an instance dict,
+    which holds only the cached :attr:`ranking`.
+    """
+
+    def __new__(cls, metric_name: str, values: Mapping[str, float]) -> "MetricSeries":
+        for unit_id, value in values.items():
             if not math.isfinite(value):
                 raise ValidationError(
-                    f"non-finite value for unit {unit_id!r} in metric {self.metric_name!r}"
+                    f"non-finite value for unit {unit_id!r} in metric {metric_name!r}"
                 )
+        return tuple.__new__(cls, (metric_name, values))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "MetricSeries":
+        return cls(*iterable)
 
     @cached_property
     def ranking(self) -> tuple[tuple[str, ...], bytes]:
@@ -65,8 +78,7 @@ class MetricSeries:
         return _rank_order(self.values)
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     metric_x: str
     metric_y: str
     n: int

@@ -9,7 +9,6 @@ ids). Element classes are stable so the output is machine-checkable:
 
 from __future__ import annotations
 
-from html import escape
 from typing import Callable, Iterator, Mapping, Sequence
 
 WIDTH = 880
@@ -19,6 +18,11 @@ MARGIN_RIGHT = 30
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 60
 N_TICKS = 5
+
+
+def _escape(text: str) -> str:
+    """Text content with ``&``, ``<`` and ``>`` escaped; ``&`` first, so no entity is escaped twice."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(value: float) -> str:
@@ -77,7 +81,7 @@ def scatter_svg(
     if title:
         yield (
             f'<text class="title" x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-size="16">{escape(title, quote=False)}</text>\n'
+            f'font-size="16">{_escape(title)}</text>\n'
         )
 
     # frame and axes
@@ -107,11 +111,11 @@ def scatter_svg(
         )
     yield (
         f'<text class="axis-label" x="{_fmt((left + right) / 2)}" y="{HEIGHT - 16}" '
-        f'text-anchor="middle" font-size="13">{escape(x_label, quote=False)}</text>\n'
+        f'text-anchor="middle" font-size="13">{_escape(x_label)}</text>\n'
     )
     yield (
         f'<text class="axis-label" x="18" y="{_fmt((top + bottom) / 2)}" text-anchor="middle" '
-        f'font-size="13" transform="rotate(-90 18 {_fmt((top + bottom) / 2)})">{escape(y_label, quote=False)}</text>\n'
+        f'font-size="13" transform="rotate(-90 18 {_fmt((top + bottom) / 2)})">{_escape(y_label)}</text>\n'
     )
 
     # the two median threshold lines
@@ -137,7 +141,7 @@ def scatter_svg(
             if label:
                 yield (
                     f'<text class="quadrant-label" x="{cx}" y="{cy}" text-anchor="{anchor}" '
-                    f'font-size="11" fill="#999999">{escape(label, quote=False)}</text>\n'
+                    f'font-size="11" fill="#999999">{_escape(label)}</text>\n'
                 )
 
     for label, x, y in points:
@@ -148,7 +152,7 @@ def scatter_svg(
         )
         yield (
             f'<text class="point-label" x="{_fmt(px + 6)}" y="{_fmt(py - 5)}" '
-            f'font-size="10" fill="#333333">{escape(label, quote=False)}</text>\n'
+            f'font-size="10" fill="#333333">{_escape(label)}</text>\n'
         )
 
     yield "</svg>\n"

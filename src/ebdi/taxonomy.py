@@ -13,16 +13,14 @@ Whole disciplines are typed by the sign of (cited - citing): positive means
 the discipline imports knowledge, negative means it exports.
 
 Values exactly at the threshold are HIGH; the tie rule keeps boundary units
-deterministic.
+deterministic. A :class:`JournalRole` is a named tuple.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import Dimension
 from .errors import ValidationError
@@ -46,8 +44,7 @@ class TradeDirection(str, Enum):
     BALANCED = "BALANCED"
 
 
-@dataclass(frozen=True)
-class JournalRole:
+class JournalRole(NamedTuple):
     unit_id: str
     cited_level: Level | None
     citing_level: Level | None
@@ -56,12 +53,20 @@ class JournalRole:
 
 def median_threshold(values: Sequence[float]) -> float:
     """Median of the values: middle order statistic, or the midpoint of the
-    two middle order statistics for an even count."""
+    two middle order statistics for an even count.
+
+    The arithmetic is :func:`statistics.median`'s, (a + b) / 2 after one sort,
+    so the result is the same float.
+    """
     if not values:
         raise ValidationError("cannot take the median of an empty list")
     if any(math.isnan(v) for v in values):
         raise ValidationError("median input contains NaN; exclude missing values first")
-    return float(statistics.median(values))
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return float((ordered[middle - 1] + ordered[middle]) / 2)
 
 
 def assign_levels(scores: Mapping[str, float]) -> tuple[dict[str, Level], float]:

@@ -11,7 +11,6 @@ imports this module without the package on its path, so the two import
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -124,8 +123,7 @@ def pct_of_max_entropy(entropy_nats, n_categories):
 def scaled_profile(profile, factor):
     """The citation profile with every count multiplied by ``factor`` (> 0)."""
     assert factor > 0, "scale factor must be positive"
-    return dataclasses.replace(
-        profile,
+    return profile._replace(
         internal_count=profile.internal_count * factor,
         external_counts={sc: value * factor for sc, value in profile.external_counts.items()},
         external_total=profile.external_total * factor,

@@ -1,4 +1,5 @@
-"""Start-up cost guard: no subcommand needs scipy or numpy.
+"""Start-up cost guard: no subcommand needs scipy or numpy, and the CLI's
+import loads no standard-library subtree that no run uses.
 
 scipy.stats takes about a second and 80 MB to import, which would dominate
 every subcommand on a small corpus; the rank correlation and its p-value use
@@ -23,6 +24,9 @@ CORPUS_ARGS = [
     "--citations", str(SAMPLE / "citations.csv"),
 ]
 HEAVY_MODULES = ("scipy", "xml.sax")
+#: dataclasses (which imports inspect, ast and dis), statistics (fractions,
+#: decimal) and html (html.entities): 7 ms and 2 MB at start-up, for no run
+UNUSED_STDLIB = ("dataclasses", "inspect", "statistics", "html")
 
 CHILD = """
 import json, sys
@@ -73,6 +77,18 @@ def test_only_correlate_needs_scipy(tmp_path):
         if any(m == heavy or m.startswith(heavy + ".") for heavy in HEAVY_MODULES)
     ]
     assert loaded == [], f"heavy modules loaded at start-up: {loaded[:5]}"
+
+
+def test_cli_import_loads_no_unused_stdlib():
+    """``-I`` keeps the environment and the user's site directory out of the child."""
+    child = "import sys; sys.path.insert(0, sys.argv[1]); import ebdi.cli; print(*sorted(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", child, str(REPO / "src")], capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    modules = done.stdout.split()
+    assert "ebdi.cli" in modules
+    assert [m for m in modules if m.partition(".")[0] in UNUSED_STDLIB] == []
 
 
 def test_every_subcommand_runs_without_scipy_or_numpy(tmp_path):

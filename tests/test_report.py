@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import html
 import io
 import json
 import logging
@@ -26,7 +27,7 @@ from ebdi.report import (
     CORRELATION_COLUMNS, INDICATOR_COLUMNS, NETWORK_COLUMNS, ROLES_DISCIPLINE_COLUMNS,
     ROLES_JOURNAL_COLUMNS, RunConfig, export_sc_network, run_correlations, run_indicators, run_roles,
 )
-from ebdi.svg import scatter_svg
+from ebdi.svg import _escape, scatter_svg
 from conftest import write_corpus_files
 from oracle import (
     brute_indicator_rows,
@@ -645,6 +646,10 @@ class TestScatterPlot:
             assert f">{text}</text>" in svg_text
         labels = {el.text for el in ET.fromstring(svg_text).iter() if el.tag.endswith("text")}
         assert {f"t{raw}", f"x{raw}", f"q{raw}", f"u{raw}"} <= labels
+
+    @given(st.text(alphabet=st.one_of(st.sampled_from("&<>\"';#x"), st.characters())))
+    def test_escape_equals_html_escape(self, text):
+        assert _escape(text) == html.escape(text, quote=False)
 
     def test_large_plot_is_streamed_to_its_file(self, tmp_path, monkeypatch):
         """Writing 9,600 points allocates far less than the 1.7 MB file.

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ebdi import (
     Dimension,
@@ -47,6 +48,18 @@ class TestMedianThreshold:
             else:
                 expected = (ordered[m // 2 - 1] + ordered[m // 2]) / 2
             assert median_threshold(values) == pytest.approx(expected, abs=0)
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from([-0.0, 0.0, 1.0, 2.5])),
+                    min_size=1))
+    @example([1.0, 2.0, 3.0])
+    @example([1.0, 2.0, 3.0, 4.0])
+    @example([2.5, 2.5, 1.0, 2.5])
+    @example([0.0, -0.0])
+    @example([-0.0, 0.0])
+    @example([-0.0, 1.0, 0.0])
+    def test_equals_statistics_median(self, values):
+        # repr tells -0.0 from 0.0; the two middles of [inf, -inf] give nan in both
+        assert repr(median_threshold(values)) == repr(float(statistics.median(values)))
 
 
 class TestAssignLevels:
