@@ -28,9 +28,9 @@ journals' SCs: :func:`build_profile` for one unit and
 shares; a profile divides them once, and the network returns them with their
 denominator, so fractional values are exact up to one rounding.
 
-The two records, :class:`CitationProfile` and :class:`EbdiScore`, are
-immutable named tuples whose constructor checks their fields; ``_make``,
-``_replace`` and unpickling build through it, so no route skips a check.
+Both records are immutable named tuples. :class:`CitationProfile`, an input,
+checks its fields on every route that builds one; :class:`EbdiScore`, which
+only :func:`compute_ebdi` produces, is a plain record that its producer checks.
 """
 
 from __future__ import annotations
@@ -115,7 +115,9 @@ class CitationProfile(_ProfileFields):
         return self.internal_count + self.external_total
 
 
-class _ScoreFields(NamedTuple):
+class EbdiScore(NamedTuple):
+    """The indicator value for one (unit, focal SC, dimension), with its entropy summary."""
+
     unit_id: str
     focal_sc: str
     dimension: Dimension
@@ -128,68 +130,8 @@ class _ScoreFields(NamedTuple):
     external_total: float  # raw external citations, copied from the profile
 
 
-class EbdiScore(_ScoreFields):
-    """The indicator value for one (unit, focal SC, dimension), with its entropy summary.
-
-    An immutable named tuple whose every construction route checks it, as
-    :class:`CitationProfile`.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        unit_id: str,
-        focal_sc: str,
-        dimension: Dimension,
-        pct_internal: float,
-        entropy: float,
-        hmax: float,
-        pct_hmax: float,
-        ebdi: float,
-        raw_diversity: int,
-        external_total: float,
-    ) -> "EbdiScore":
-        if hmax <= 0:
-            raise ComputationError("hmax must be positive")
-        if raw_diversity <= 1:
-            if abs(entropy) > _CHECK_TOL:
-                raise ComputationError("entropy of a <=1 category distribution must be 0")
-        elif not -_CHECK_TOL <= entropy <= math.log(raw_diversity) + _CHECK_TOL:
-            raise ComputationError("entropy outside [0, ln(raw_diversity)]")
-        if not -_CHECK_TOL <= pct_hmax <= 100 + _CHECK_TOL:
-            raise ComputationError("pct_hmax outside [0, 100]")
-        if not -_CHECK_TOL <= pct_internal <= 100 + _CHECK_TOL:
-            raise ComputationError("pct_internal outside [0, 100]")
-        if abs(ebdi - pct_internal / (pct_hmax + 1.0)) > _CHECK_TOL:
-            raise ComputationError("stored ebdi disagrees with its defining ratio")
-        if not -_CHECK_TOL <= ebdi <= 100 + _CHECK_TOL:
-            raise ComputationError("ebdi outside [0, 100]")
-        return tuple.__new__(cls, (unit_id, focal_sc, dimension, pct_internal, entropy, hmax,
-                                   pct_hmax, ebdi, raw_diversity, external_total))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> "EbdiScore":
-        return cls(*iterable)
-
-
-def shannon_entropy(counts: Mapping[str, float]) -> float:
-    """Shannon entropy, in nats, of a frequency distribution.
-
-    H = -sum(p_i * ln(p_i)) with p_i = x_i / sum(x). Zero-count entries are
-    excluded (0*ln(0) := 0); an empty distribution has entropy 0 by definition.
-    """
-    values: Collection[float] = counts.values()
-    low = min(values, default=1)
-    if low < 0:
-        raise ValidationError("entropy requires non-negative counts")
-    if low == 0:
-        values = [v for v in values if v != 0]
-    return _entropy(values)
-
-
 def _entropy(values: Collection[float]) -> float:
-    """:func:`shannon_entropy` of strictly positive values, straight from the collection."""
+    """Shannon entropy, in nats, of positive counts: -sum(p_i * ln(p_i)) with p_i = x_i / sum(x)."""
     total = math.fsum(values)
     ps = list(map(total.__rtruediv__, values))  # v / total for each v
     # the +0.0 normalizes -0.0 away (single-category distributions)
@@ -322,6 +264,8 @@ def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
 
     Raises :class:`NoCitationsError` when the profile has no citations at all
     in its dimension; callers report that as a missing value, never as 0.
+    It then checks, in this order, the percentages (:func:`ebdi_value`) and
+    the entropy bound; the score's other bounds follow from these.
     """
     total = profile.total
     if total <= 0:
@@ -335,10 +279,16 @@ def compute_ebdi(profile: CitationProfile, n_categories: int) -> EbdiScore:
     entropy = _entropy(profile.external_counts.values())  # its values are positive
     pct_hmax = 100.0 * entropy / hmax  # entropy as a percentage of ln(n_categories)
     pct_internal = 100.0 * (profile.internal_count / total)
+    ebdi = ebdi_value(pct_internal, pct_hmax)  # checks both percentages first
+    raw_diversity = len(profile.external_counts)
+    if raw_diversity <= 1:
+        if abs(entropy) > _CHECK_TOL:
+            raise ComputationError("entropy of a <=1 category distribution must be 0")
+    elif not -_CHECK_TOL <= entropy <= math.log(raw_diversity) + _CHECK_TOL:
+        raise ComputationError("entropy outside [0, ln(raw_diversity)]")
     return EbdiScore(
         profile.unit_id, profile.focal_sc, profile.dimension,
-        pct_internal, entropy, hmax, pct_hmax, ebdi_value(pct_internal, pct_hmax),
-        len(profile.external_counts), profile.external_total,
+        pct_internal, entropy, hmax, pct_hmax, ebdi, raw_diversity, profile.external_total,
     )
 
 

@@ -9,6 +9,7 @@ ids). Element classes are stable so the output is machine-checkable:
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Iterator, Mapping, Sequence
 
 WIDTH = 880
@@ -18,11 +19,13 @@ MARGIN_RIGHT = 30
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 60
 N_TICKS = 5
+#: code points XML 1.0 forbids: C0 controls other than tab, LF and CR, surrogates, U+FFFE and U+FFFF
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _escape(text: str) -> str:
-    """Text content with ``&``, ``<`` and ``>`` escaped; ``&`` first, so no entity is escaped twice."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Text content: ``&`` (first), ``<`` and ``>`` escaped, each code point XML forbids made U+FFFD."""
+    return _NOT_XML.sub("\ufffd", text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
 def _fmt(value: float) -> str:

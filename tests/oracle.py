@@ -77,10 +77,10 @@ def brute_indicator_rows(journal_memberships, edge_rows, n_categories, mode):
 
 
 def reference_entropy(counts):
-    """The generator-expression entropy the lean ``metrics.shannon_entropy`` must equal bit for bit.
+    """The reference definition of the entropy: ``metrics._entropy`` must equal it bit for bit.
 
-    Zero counts are dropped, negative ones rejected, and the +0.0 turns the
-    single-category -0.0 into a plain zero.
+    Zero counts are dropped (``_entropy`` never sees one), negative ones
+    rejected, and the +0.0 turns the single-category -0.0 into a plain zero.
     """
     values = [v for v in counts.values() if v != 0]
     if any(v < 0 for v in values):

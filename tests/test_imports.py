@@ -126,7 +126,7 @@ PUBLIC_NAMES = {
 #: names the package no longer re-exports, by the module that defines them
 MODULE_NAMES = {
     "ebdi.corpus": ("load_classification",),
-    "ebdi.metrics": ("ebdi_value", "shannon_entropy"),
+    "ebdi.metrics": ("ebdi_value",),
     "ebdi.report": ("RunConfig", "export_sc_network", "run_correlations", "run_indicators", "run_roles"),
     "ebdi.stats": ("CorrelationResult", "MetricSeries", "correlate", "load_metric_series",
                    "p_two_tailed", "spearman_rho"),

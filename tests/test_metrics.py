@@ -21,46 +21,39 @@ from ebdi import (
     compute_ebdi,
     compute_journal_indicators,
 )
-from ebdi.metrics import ebdi_value, shannon_entropy
+import ebdi.metrics as metrics
+from ebdi.metrics import _entropy, ebdi_value
 from conftest import make_corpus
 from oracle import (
     brute_indicator_rows, pct_of_max_entropy, random_corpus_rows, reference_entropy, scaled_profile,
 )
 
 
+def nonzero(counts):
+    """A count map's nonzero values: the entropy leaves zeros out, as ``reference_entropy`` does."""
+    return [v for v in counts.values() if v != 0]
+
+
 class TestShannonEntropy:
     def test_single_category_is_zero(self):
-        h = shannon_entropy({"A": 5})
+        h = _entropy([5])
         assert h == 0.0
         assert math.copysign(1.0, h) == 1.0  # plain zero, not -0.0
 
     def test_uniform_four_categories(self):
-        assert shannon_entropy({"A": 1, "B": 1, "C": 1, "D": 1}) == pytest.approx(
-            math.log(4), abs=1e-12
-        )
+        assert _entropy([1, 1, 1, 1]) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_two_one_one_distribution(self):
         # -(0.5 ln 0.5 + 2 * 0.25 ln 0.25) = 1.5 ln 2
         expected = 1.5 * math.log(2)
-        assert shannon_entropy({"A": 2, "B": 1, "C": 1}) == pytest.approx(expected, abs=1e-12)
+        assert _entropy([2, 1, 1]) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_distribution_is_zero(self):
-        assert shannon_entropy({}) == 0.0
-
-    def test_zero_counts_ignored(self):
-        assert shannon_entropy({"A": 3, "B": 0}) == 0.0
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValidationError):
-            shannon_entropy({"A": -1})
-
-    def test_negative_count_beside_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            shannon_entropy({"A": 0, "B": 3, "C": -0.5})
+        assert _entropy([]) == 0.0
 
     def test_single_category_matches_reference_sign(self):
         for counts in ({"A": 5}, {"A": 0.25, "B": 0}, {"A": 7}):
-            h, want = shannon_entropy(counts), reference_entropy(counts)
+            h, want = _entropy(nonzero(counts)), reference_entropy(counts)
             assert h == want == 0.0
             assert math.copysign(1.0, h) == math.copysign(1.0, want) == 1.0
 
@@ -83,9 +76,9 @@ def test_entropy_has_the_reference_bits(counts):
         want = reference_entropy(counts)
     except ValueError:  # a subnormal count whose share underflows to 0.0 has no logarithm
         with pytest.raises(ValueError):
-            shannon_entropy(counts)
+            _entropy(nonzero(counts))
         return
-    h = shannon_entropy(counts)
+    h = _entropy(nonzero(counts))
     assert h == want
     assert math.copysign(1.0, h) == math.copysign(1.0, want)
 
@@ -96,10 +89,10 @@ def test_entropy_does_not_depend_on_the_order_of_the_counts(counts, seed):
     items = list(counts.items())
     random.Random(seed).shuffle(items)
     try:
-        want = shannon_entropy(counts)
+        want = _entropy(nonzero(counts))
     except ValueError:
         return
-    assert shannon_entropy(dict(items)) == want
+    assert _entropy(nonzero(dict(items))) == want
 
 
 class TestPctOfMaxEntropy:
@@ -287,7 +280,18 @@ class TestComputeEbdi:
             ebdi_value(50.0, -1.0)
 
 
+def external_profile(n_external):
+    """A profile with 10 internal citations and one citation to each of ``n_external`` SCs."""
+    return CitationProfile(
+        unit_id="U", focal_sc="F", dimension=Dimension.CITED, counting_mode=CountingMode.WHOLE,
+        internal_count=10.0, external_counts={f"S{i}": 1.0 for i in range(n_external)},
+        external_total=float(n_external),
+    )
+
+
 class TestEbdiScoreChecks:
+    """``EbdiScore`` is a plain record; ``compute_ebdi`` checks the entropy that goes into it."""
+
     VALID = dict(
         unit_id="U", focal_sc="F", dimension=Dimension.CITED, pct_internal=50.0,
         entropy=math.log(2), hmax=math.log(4), pct_hmax=50.0, ebdi=50.0 / 51.0,
@@ -298,23 +302,34 @@ class TestEbdiScoreChecks:
         score = EbdiScore(**self.VALID)
         assert score.entropy == math.log(2) and score.raw_diversity == 2
 
-    @pytest.mark.parametrize(
-        "fields,message",
-        [
-            ({"hmax": 0.0}, "hmax must be positive"),
-            ({"raw_diversity": 1}, "<=1 category distribution must be 0"),
-            ({"raw_diversity": 0, "entropy": 1e-6}, "<=1 category distribution must be 0"),
-            ({"entropy": math.log(2) + 1e-6}, r"entropy outside \[0, ln\(raw_diversity\)\]"),
-            ({"entropy": -1e-6}, r"entropy outside \[0, ln\(raw_diversity\)\]"),
-            ({"pct_hmax": 100.1, "ebdi": 50.0 / 101.1}, r"pct_hmax outside \[0, 100\]"),
-            ({"pct_hmax": -0.1, "ebdi": 50.0 / 0.9}, r"pct_hmax outside \[0, 100\]"),
-            ({"pct_internal": 100.1, "ebdi": 100.1 / 51.0}, r"pct_internal outside \[0, 100\]"),
-            ({"ebdi": 1.0}, "disagrees with its defining ratio"),
-        ],
-    )
-    def test_inconsistent_score_raises_computation_error(self, fields, message):
+    ENTROPY_FAULTS = [
+        ({"raw_diversity": 1}, "<=1 category distribution must be 0"),
+        ({"raw_diversity": 0, "entropy": 1e-6}, "<=1 category distribution must be 0"),
+        ({"entropy": math.log(2) + 1e-6}, r"entropy outside \[0, ln\(raw_diversity\)\]"),
+        # a negative entropy gets past ebdi_value's pct_hmax bound only when hmax is vast
+        ({"entropy": -2e-9, "n_categories": 10**100}, r"entropy outside \[0, ln\(raw_diversity\)\]"),
+    ]
+
+    # numbered from 1, so each case keeps the id it had when EbdiScore checked itself
+    @pytest.mark.parametrize("fields,message", ENTROPY_FAULTS,
+                             ids=[f"fields{i}-{m}" for i, (_, m) in enumerate(ENTROPY_FAULTS, 1)])
+    def test_inconsistent_score_raises_computation_error(self, fields, message, monkeypatch):
+        case = {**self.VALID, "n_categories": 4, **fields}
+        monkeypatch.setattr(metrics, "_entropy", lambda values: case["entropy"])
         with pytest.raises(ComputationError, match=message):
-            EbdiScore(**{**self.VALID, **fields})
+            compute_ebdi(external_profile(case["raw_diversity"]), case["n_categories"])
+
+
+@pytest.mark.parametrize("n_external, entropy, n_categories, error, message", [
+    (1, 0.5, 60, ComputationError, "entropy of a <=1 category distribution must be 0"),
+    (3, math.log(3) + 0.01, 60, ComputationError, r"entropy outside \[0, ln\(raw_diversity\)\]"),
+    # 2 nats is above both ln 3 and hmax = ln 4: ebdi_value's bound comes first
+    (3, 2.0, 4, ValidationError, r"pct_hmax must lie in \[0, 100\]"),
+])
+def test_compute_ebdi_fault_order(n_external, entropy, n_categories, error, message, monkeypatch):
+    monkeypatch.setattr(metrics, "_entropy", lambda values: entropy)
+    with pytest.raises(error, match=message):
+        compute_ebdi(external_profile(n_external), n_categories)
 
 
 class TestComputeJournalIndicators:
@@ -386,14 +401,14 @@ positive_counts = st.dictionaries(
 
 @given(counts=positive_counts)
 def test_entropy_bounds(counts):
-    h = shannon_entropy(counts)
+    h = _entropy(counts.values())
     assert -1e-12 <= h <= math.log(len(counts)) + 1e-12
 
 
 @pytest.mark.parametrize("k", range(1, 50))
 def test_uniform_entropy_attains_log_k_and_grows_with_k(k):
-    h_k = shannon_entropy({f"S{i}": 3 for i in range(k)})
-    h_k1 = shannon_entropy({f"S{i}": 3 for i in range(k + 1)})
+    h_k = _entropy([3] * k)
+    h_k1 = _entropy([3] * (k + 1))
     assert h_k == pytest.approx(math.log(k) if k > 1 else 0.0, abs=1e-12)
     assert h_k1 > h_k  # one more category at the uniform share raises entropy
 
@@ -406,13 +421,13 @@ def test_transfer_toward_larger_count_never_raises_entropy(counts, data):
     if low[1] >= high[1]:
         return  # need strictly unequal pair
     delta = data.draw(st.integers(min_value=1, max_value=low[1]), label="delta")
-    before = shannon_entropy(counts)
+    before = _entropy(counts.values())
     moved = dict(counts)
     moved[low[0]] -= delta
     moved[high[0]] += delta
     if moved[low[0]] == 0:
         del moved[low[0]]
-    after = shannon_entropy(moved)
+    after = _entropy(moved.values())
     assert after <= before + 1e-12
     if low[1] - delta < high[1] + delta:
         assert after < before
@@ -441,7 +456,7 @@ def test_scale_invariance(counts, internal, factor):
 @given(counts=positive_counts)
 def test_entropy_invariant_under_relabeling(counts):
     relabeled = {f"X{i}": v for i, (_, v) in enumerate(sorted(counts.items(), reverse=True))}
-    assert shannon_entropy(relabeled) == pytest.approx(shannon_entropy(counts), abs=1e-12)
+    assert _entropy(relabeled.values()) == pytest.approx(_entropy(counts.values()), abs=1e-12)
 
 
 @given(
@@ -479,6 +494,56 @@ def test_score_fields_stay_coherent(counts, internal):
     score = compute_ebdi(profile, 60)
     assert 0.0 <= score.ebdi <= 100.0
     assert score.ebdi == pytest.approx(score.pct_internal / (score.pct_hmax + 1), abs=1e-12)
+
+
+def assert_former_record_checks(score):
+    """The six checks ``EbdiScore`` ran on itself before ``compute_ebdi``'s guards took them over."""
+    assert score.hmax > 0
+    if score.raw_diversity <= 1:
+        assert abs(score.entropy) <= 1e-9
+    else:
+        assert 0.0 <= score.entropy <= math.log(score.raw_diversity) + 1e-9
+    assert 0.0 <= score.pct_hmax <= 100.0
+    assert 0.0 <= score.pct_internal <= 100.0
+    assert 0.0 <= score.ebdi <= 100.0
+    assert abs(score.ebdi - score.pct_internal / (score.pct_hmax + 1.0)) <= 1e-9
+
+
+@given(seed=st.integers(0, 2**32 - 1), only_the_scs_in_use=st.booleans())
+def test_random_corpus_scores_pass_the_former_record_checks(seed, only_the_scs_in_use):
+    sc_rows, journal_rows, citation_rows, memberships = random_corpus_rows(random.Random(seed))
+    in_use = sorted(set().union(*memberships.values()))
+    n_categories = max(2, len(in_use)) if only_the_scs_in_use else None
+    corpus = make_corpus(sc_rows, journal_rows, citation_rows, n_categories=n_categories)
+    units = [(jid, sc) for jid in sorted(memberships) for sc in sorted(memberships[jid])]
+    units += [(sc, sc) for sc in in_use]  # whole subject categories
+    for mode in (CountingMode.WHOLE, CountingMode.FRACTIONAL):
+        for unit_id, focal_sc in units:
+            for score in compute_journal_indicators(corpus, unit_id, focal_sc, mode):
+                if score is not None:
+                    assert_former_record_checks(score)
+
+
+@given(
+    counts=positive_counts,
+    internal=st.integers(min_value=1, max_value=500),
+    shape=st.sampled_from(["all internal", "none internal", "one external SC", "mixed"]),
+)
+def test_boundary_profiles_pass_the_former_record_checks(counts, internal, shape):
+    if shape == "all internal":
+        counts = {}
+    elif shape == "none internal":
+        internal = 0
+    elif shape == "one external SC":
+        counts = dict([min(counts.items())])
+    profile = CitationProfile(
+        unit_id="U", focal_sc="F", dimension=Dimension.CITED,
+        counting_mode=CountingMode.WHOLE, internal_count=float(internal),
+        external_counts={k: float(v) for k, v in counts.items()},
+        external_total=float(sum(counts.values())),
+    )
+    # n_categories equal to the SCs in use: the focal SC and every external one
+    assert_former_record_checks(compute_ebdi(profile, max(2, len(counts) + 1)))
 
 
 def test_pipeline_matches_oracle_on_random_corpora():

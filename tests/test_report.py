@@ -27,6 +27,7 @@ from ebdi.report import (
     CORRELATION_COLUMNS, INDICATOR_COLUMNS, NETWORK_COLUMNS, ROLES_DISCIPLINE_COLUMNS,
     ROLES_JOURNAL_COLUMNS, RunConfig, export_sc_network, run_correlations, run_indicators, run_roles,
 )
+import ebdi.svg as svg_module
 from ebdi.svg import _escape, scatter_svg
 from conftest import write_corpus_files
 from oracle import (
@@ -601,6 +602,18 @@ class TestRunRoles:
             assert row["citing_threshold"] == citing_threshold
 
 
+def is_xml_char(c):
+    """True iff XML 1.0's ``Char`` production admits the code point."""
+    cp = ord(c)
+    return cp in (0x9, 0xA, 0xD) or 0x20 <= cp <= 0xD7FF or 0xE000 <= cp <= 0xFFFD or cp >= 0x10000
+
+
+# any character, and every kind that XML 1.0 forbids, surrogates included
+LABEL_CHARS = st.one_of(
+    st.characters(), st.sampled_from("\x00\x01\x0b\x0c\x1f\ud800\udfff\ufffe\uffff\t\n\r"),
+)
+
+
 class TestScatterPlot:
     def _roles_run(self, tmp_path, rows):
         tmp_path.mkdir(parents=True, exist_ok=True)
@@ -647,9 +660,25 @@ class TestScatterPlot:
         labels = {el.text for el in ET.fromstring(svg_text).iter() if el.tag.endswith("text")}
         assert {f"t{raw}", f"x{raw}", f"q{raw}", f"u{raw}"} <= labels
 
-    @given(st.text(alphabet=st.one_of(st.sampled_from("&<>\"';#x"), st.characters())))
+    @given(st.text(alphabet=st.one_of(st.sampled_from("&<>\"';#x"), LABEL_CHARS)))
     def test_escape_equals_html_escape(self, text):
-        assert _escape(text) == html.escape(text, quote=False)
+        """``html.escape``, once every code point XML 1.0 forbids has become U+FFFD."""
+        xml_text = "".join(c if is_xml_char(c) else "\ufffd" for c in text)
+        assert _escape(text) == html.escape(xml_text, quote=False)
+
+    @given(labels=st.lists(st.text(alphabet=LABEL_CHARS), min_size=1, max_size=4))
+    def test_every_plot_parses_and_clean_labels_keep_their_bytes(self, labels):
+        def plot():
+            points = [(label, float(i), float(-i)) for i, label in enumerate(labels)]
+            return "".join(scatter_svg(points, 0.0, 0.0, x_label=labels[0], y_label="y",
+                                       quadrant_labels={"top_left": labels[-1]}, title=labels[0]))
+
+        svg_text = plot()
+        ET.fromstring(svg_text.encode("utf-8"))  # the bytes the file gets
+        if all(map(is_xml_char, "".join(labels))):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(svg_module, "_escape", lambda text: html.escape(text, quote=False))
+                assert plot() == svg_text
 
     def test_large_plot_is_streamed_to_its_file(self, tmp_path, monkeypatch):
         """Writing 9,600 points allocates far less than the 1.7 MB file.
