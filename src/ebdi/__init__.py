@@ -30,7 +30,6 @@ from .taxonomy import (
     JournalRoleLabel,
     Level,
     TradeDirection,
-    assign_levels,
     build_journal_roles,
     classify_discipline,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "TradeDirection",
     "ValidationError",
     "aggregate_sc_network",
-    "assign_levels",
     "build_journal_roles",
     "build_profile",
     "classify_discipline",

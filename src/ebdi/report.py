@@ -341,66 +341,47 @@ def run_roles(config: RunConfig) -> int:
     median threshold line per dimension, cited on the horizontal axis.
     """
     pairs, corpus = _collect_score_pairs(config)
-    classified = [(unit, cited, citing) for unit, cited, citing in pairs
-                  if cited is not None and citing is not None]
+    classified = [pair for pair in pairs if None not in pair[1:]]  # the pairs' own tuples, not copies
     if len(classified) < 2:
         raise ValidationError(
             f"only {len(classified)} units have indicator values in both dimensions; need at least 2"
         )
 
-    rows: list[tuple[object, ...]] = []
+    # one threshold rule for both unit types: the median of each dimension's present values
+    cited_threshold = median_threshold([cited for _, cited, _ in pairs if cited is not None])
+    citing_threshold = median_threshold([citing for _, _, citing in pairs if citing is not None])
+    rows: Iterable[tuple[object, ...]]
     if config.unit_type == "journal":
-        cited_scores = {unit: cited for unit, cited, _ in pairs if cited is not None}
-        citing_scores = {unit: citing for unit, _, citing in pairs if citing is not None}
-        roles, thresholds = build_journal_roles(cited_scores, citing_scores)
-        by_unit = {role.unit_id: role for role in roles}
-        for unit, cited, citing in pairs:
-            role = by_unit.get(unit)  # units missing both dimensions have no assignment
-            cited_level = role.cited_level if role else None
-            citing_level = role.citing_level if role else None
-            rows.append((
-                unit, cited, citing,
-                cited_level.value if cited_level else None,
-                citing_level.value if citing_level else None,
-                role.role.value if role and role.role else UNCLASSIFIED,
-                thresholds[Dimension.CITED], thresholds[Dimension.CITING],
-            ))
+        roles = build_journal_roles(pairs, cited_threshold, citing_threshold)
+        rows = (
+            (unit, cited, citing, cited_level.value if cited_level else None,
+             citing_level.value if citing_level else None, role.value if role else UNCLASSIFIED,
+             cited_threshold, citing_threshold)
+            for (_, cited, citing), (unit, cited_level, citing_level, role) in zip(pairs, roles)
+        )
         columns = ROLES_JOURNAL_COLUMNS
-        quadrants = {
-            "top_right": "CORE",
-            "bottom_right": "KNOWLEDGE_IMPORTER",
-            "top_left": "KNOWLEDGE_EXPORTER",
-            "bottom_left": "TANGENTIAL",
-        }
+        quadrants = {"top_right": "CORE", "bottom_right": "KNOWLEDGE_IMPORTER",
+                     "top_left": "KNOWLEDGE_EXPORTER", "bottom_left": "TANGENTIAL"}
     else:
-        thresholds = {
-            Dimension.CITED: median_threshold([c for _, c, _ in pairs if c is not None]),
-            Dimension.CITING: median_threshold([c for _, _, c in pairs if c is not None]),
-        }
-        for unit, cited, citing in pairs:
-            difference, direction = classify_discipline(cited, citing) or (None, None)
-            rows.append((unit, cited, citing, difference, direction.value if direction else UNCLASSIFIED))
+        types = (classify_discipline(cited, citing) or (None, None) for _, cited, citing in pairs)
+        rows = (
+            (unit, cited, citing, difference, direction.value if direction else UNCLASSIFIED)
+            for (unit, cited, citing), (difference, direction) in zip(pairs, types)
+        )
         columns = ROLES_DISCIPLINE_COLUMNS
         quadrants = None
 
     if len(pairs) > len(classified):
-        log.warning("%d units lack a dimension and are reported unclassified",
-                    len(pairs) - len(classified))
+        log.warning("%d units lack a dimension and are reported unclassified", len(pairs) - len(classified))
 
     count = _write_table(
         config, "roles", columns, rows, "roles", corpus,
-        unit_type=config.unit_type,
-        cited_threshold=thresholds[Dimension.CITED],
-        citing_threshold=thresholds[Dimension.CITING],
+        unit_type=config.unit_type, cited_threshold=cited_threshold, citing_threshold=citing_threshold,
     )
 
     svg_lines = scatter_svg(
-        points=classified,
-        x_threshold=thresholds[Dimension.CITED],
-        y_threshold=thresholds[Dimension.CITING],
-        x_label="EBDI (cited)",
-        y_label="EBDI (citing)",
-        quadrant_labels=quadrants,
+        points=classified, x_threshold=cited_threshold, y_threshold=citing_threshold,
+        x_label="EBDI (cited)", y_label="EBDI (citing)", quadrant_labels=quadrants,
         title="Disciplinarity by dimension",
     )
     svg_path = config.out_dir / "scatter.svg"
@@ -421,15 +402,14 @@ def run_correlations(config: RunConfig) -> int:
     ]
     series.extend(load_metric_series(config.metrics))
 
-    def rows() -> Iterator[tuple[object, ...]]:
+    def rows() -> Iterator[tuple[object, ...]]:  # a CorrelationResult's fields are CORRELATION_COLUMNS
         for x, y in combinations(series, 2):
             try:
                 result = correlate(x, y)
             except ValidationError as exc:
                 log.warning("skipping pair (%s, %s): %s", x.metric_name, y.metric_name, exc)
                 continue
-            yield (result.metric_x, result.metric_y, result.n, result.rho,
-                   result.p_two_tailed, result.method_note)
+            yield result
 
     return _write_table(config, "correlations", CORRELATION_COLUMNS, rows(), "correlate", corpus,
                         metrics_file=str(config.metrics))

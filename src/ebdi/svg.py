@@ -24,8 +24,12 @@ _NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _escape(text: str) -> str:
-    """Text content: ``&`` (first), ``<`` and ``>`` escaped, each code point XML forbids made U+FFFD."""
-    return _NOT_XML.sub("\ufffd", text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
+    """Text content: ``&`` (first), ``<`` and ``>`` escaped, each code point XML forbids made U+FFFD.
+
+    A CR is written as ``&#13;``: a parser turns a raw CR into LF.
+    """
+    escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
+    return _NOT_XML.sub("\ufffd", escaped)
 
 
 def _fmt(value: float) -> str:

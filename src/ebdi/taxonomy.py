@@ -1,8 +1,9 @@
 """HIGH/LOW level assignment and role labels derived from indicator values.
 
-Journals get a four-quadrant role from their cited/citing levels, where a
-level is HIGH when the unit's indicator value reaches the median (the 50th
-percentile) of its dimension's distribution within the analyzed set:
+The taxonomy has two rules. A dimension's threshold is the median of its
+present values (:func:`median_threshold`), and a value at or above it is
+HIGH; the tie rule keeps boundary units deterministic. Journals then get a
+four-quadrant role from their cited/citing levels:
 
     citing HIGH + cited HIGH -> CORE                (disciplinary both ways)
     citing LOW  + cited HIGH -> KNOWLEDGE_IMPORTER  (multidisciplinary intake)
@@ -12,17 +13,15 @@ percentile) of its dimension's distribution within the analyzed set:
 Whole disciplines are typed by the sign of (cited - citing): positive means
 the discipline imports knowledge, negative means it exports.
 
-Values exactly at the threshold are HIGH; the tie rule keeps boundary units
-deterministic. A :class:`JournalRole` is a named tuple.
+A :class:`JournalRole` is a named tuple.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Dimension
 from .errors import ValidationError
 
 
@@ -69,19 +68,13 @@ def median_threshold(values: Sequence[float]) -> float:
     return float((ordered[middle - 1] + ordered[middle]) / 2)
 
 
-def assign_levels(scores: Mapping[str, float]) -> tuple[dict[str, Level], float]:
-    """HIGH/LOW level of every scored unit of one dimension, and the threshold.
-
-    The threshold is the median of the given values. HIGH means value >= threshold.
-    """
-    if len(scores) < 2:
-        raise ValidationError("fewer than 2 scored units; a threshold needs at least 2")
-    threshold = median_threshold(list(scores.values()))
-    levels = {
-        unit_id: Level.HIGH if value >= threshold else Level.LOW
-        for unit_id, value in scores.items()
-    }
-    return levels, threshold
+def _level(value: float | None, threshold: float) -> Level | None:
+    """HIGH when the value reaches the threshold, else LOW; None when it is missing."""
+    if value is None:
+        return None
+    if math.isnan(value):
+        raise ValidationError("indicator value is NaN; exclude missing values first")
+    return Level.HIGH if value >= threshold else Level.LOW
 
 
 def classify_journal(cited_level: Level | None, citing_level: Level | None) -> JournalRoleLabel | None:
@@ -114,18 +107,17 @@ def classify_discipline(
 
 
 def build_journal_roles(
-    cited_scores: dict[str, float],
-    citing_scores: dict[str, float],
-) -> tuple[list[JournalRole], dict[Dimension, float]]:
-    """Compose level assignment and role classification for a set of units.
+    pairs: Iterable[tuple[str, float | None, float | None]], cited_threshold: float, citing_threshold: float,
+) -> list[JournalRole]:
+    """One role per ``(unit_id, cited, citing)`` pair, in the pairs' order.
 
-    Units missing a dimension are excluded from that dimension's threshold but
-    still appear in the result, unclassified. Output is sorted by unit_id.
+    A value is HIGH when it reaches its dimension's threshold, normally the
+    :func:`median_threshold` of that dimension's present values. A missing
+    value (None) gets no level, and its unit no role; a NaN value raises
+    :class:`ValidationError`.
     """
-    cited_levels, cited_threshold = assign_levels(cited_scores)
-    citing_levels, citing_threshold = assign_levels(citing_scores)
     roles = []
-    for unit_id in sorted(cited_levels.keys() | citing_levels.keys()):
-        cited, citing = cited_levels.get(unit_id), citing_levels.get(unit_id)
-        roles.append(JournalRole(unit_id, cited, citing, classify_journal(cited, citing)))
-    return roles, {Dimension.CITED: cited_threshold, Dimension.CITING: citing_threshold}
+    for unit_id, cited, citing in pairs:
+        levels = _level(cited, cited_threshold), _level(citing, citing_threshold)
+        roles.append(JournalRole(unit_id, *levels, classify_journal(*levels)))
+    return roles

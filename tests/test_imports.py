@@ -120,7 +120,7 @@ PUBLIC_NAMES = {
     "ComputationError", "EbdiError", "LoadError", "NoCitationsError", "ValidationError",
     "CitationProfile", "EbdiScore", "build_profile", "compute_ebdi",
     "compute_journal_indicators", "aggregate_sc_network",
-    "JournalRole", "JournalRoleLabel", "Level", "TradeDirection", "assign_levels",
+    "JournalRole", "JournalRoleLabel", "Level", "TradeDirection",
     "classify_discipline", "build_journal_roles",
 }
 #: names the package no longer re-exports, by the module that defines them

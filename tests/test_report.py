@@ -27,6 +27,7 @@ from ebdi.report import (
     CORRELATION_COLUMNS, INDICATOR_COLUMNS, NETWORK_COLUMNS, ROLES_DISCIPLINE_COLUMNS,
     ROLES_JOURNAL_COLUMNS, RunConfig, export_sc_network, run_correlations, run_indicators, run_roles,
 )
+from ebdi.stats import CorrelationResult
 import ebdi.svg as svg_module
 from ebdi.svg import _escape, scatter_svg
 from conftest import write_corpus_files
@@ -575,6 +576,12 @@ class TestRunRoles:
         rows = stage_rows(run_roles, config, "roles")
         assert [row["unit_id"] for row in rows] == [unit for unit, _, _ in values]
 
+        # one threshold rule for both unit types: each dimension's median, in the meta
+        cited_threshold = statistics.median(c for _, c, _ in values if c is not None)
+        citing_threshold = statistics.median(c for _, _, c in values if c is not None)
+        meta = read_meta(tmp_path / "out", "roles")
+        assert (meta["cited_threshold"], meta["citing_threshold"]) == (cited_threshold, citing_threshold)
+
         if unit_type == "discipline":
             for row, (_, cited, citing) in zip(rows, values):
                 if cited is None or citing is None:
@@ -585,8 +592,6 @@ class TestRunRoles:
                 assert row["type"] == {1: "IMPORTER", -1: "EXPORTER", 0: "BALANCED"}[sign]
             return
 
-        cited_threshold = statistics.median(c for _, c, _ in values if c is not None)
-        citing_threshold = statistics.median(c for _, _, c in values if c is not None)
         level = lambda value, threshold: (
             None if value is None else "HIGH" if value >= threshold else "LOW"
         )
@@ -662,9 +667,9 @@ class TestScatterPlot:
 
     @given(st.text(alphabet=st.one_of(st.sampled_from("&<>\"';#x"), LABEL_CHARS)))
     def test_escape_equals_html_escape(self, text):
-        """``html.escape``, once every code point XML 1.0 forbids has become U+FFFD."""
+        """``html.escape``, once every code point XML 1.0 forbids has become U+FFFD, with CR as ``&#13;``."""
         xml_text = "".join(c if is_xml_char(c) else "\ufffd" for c in text)
-        assert _escape(text) == html.escape(xml_text, quote=False)
+        assert _escape(text) == html.escape(xml_text, quote=False).replace("\r", "&#13;")
 
     @given(labels=st.lists(st.text(alphabet=LABEL_CHARS), min_size=1, max_size=4))
     def test_every_plot_parses_and_clean_labels_keep_their_bytes(self, labels):
@@ -674,10 +679,20 @@ class TestScatterPlot:
                                        quadrant_labels={"top_left": labels[-1]}, title=labels[0]))
 
         svg_text = plot()
-        ET.fromstring(svg_text.encode("utf-8"))  # the bytes the file gets
+        root = ET.fromstring(svg_text.encode("utf-8"))  # the bytes the file gets
+        # every label reads back as written, each code point XML forbids as U+FFFD; a CR stays a CR
+        clean = ["".join(c if is_xml_char(c) else "\ufffd" for c in label) for label in labels]
+        read = {}
+        for element in root.iter("{http://www.w3.org/2000/svg}text"):
+            read.setdefault(element.get("class"), []).append(element.text or "")
+        assert read.get("title", [""]) == [clean[0]]  # an empty title is left out
+        assert read["axis-label"] == [clean[0], "y"]
+        assert read.get("quadrant-label", [""]) == [clean[-1]]
+        assert sorted(read["point-label"]) == sorted(clean)
         if all(map(is_xml_char, "".join(labels))):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(svg_module, "_escape", lambda text: html.escape(text, quote=False))
+                patch.setattr(svg_module, "_escape",
+                              lambda text: html.escape(text, quote=False).replace("\r", "&#13;"))
                 assert plot() == svg_text
 
     def test_large_plot_is_streamed_to_its_file(self, tmp_path, monkeypatch):
@@ -733,6 +748,9 @@ class TestRunCorrelations:
         )
         config = RunConfig(scores=scores, metrics=metrics, out_dir=tmp_path / "out", fmt="json")
         rows = stage_rows(run_correlations, config, "correlations")
+        # each CorrelationResult is written as its row, so its fields are the columns, in order
+        assert CorrelationResult._fields == CORRELATION_COLUMNS
+        assert all(tuple(row) == CORRELATION_COLUMNS for row in rows)
         assert [(r["metric_x"], r["metric_y"]) for r in rows] == [
             ("cited_ebdi", "citing_ebdi"),
             ("cited_ebdi", "impact"),

@@ -9,17 +9,28 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ebdi import (
-    Dimension,
     JournalRoleLabel,
     Level,
     TradeDirection,
     ValidationError,
-    assign_levels,
     build_journal_roles,
     classify_discipline,
 )
 from ebdi.taxonomy import classify_journal, median_threshold
 from reference_data import REFERENCE_DISCIPLINE_ROWS
+
+
+def levels_of(scores):
+    """Each unit's level in one dimension and the threshold, as ``run_roles`` finds them.
+
+    The threshold is the :func:`median_threshold` of the values, and
+    :func:`build_journal_roles` levels each unit; both dimensions get the
+    same values, so both must get the same levels.
+    """
+    threshold = median_threshold(list(scores.values()))
+    roles = build_journal_roles([(unit, value, value) for unit, value in scores.items()], threshold, threshold)
+    assert all(role.cited_level is role.citing_level for role in roles)
+    return {role.unit_id: role.cited_level for role in roles}, threshold
 
 
 class TestMedianThreshold:
@@ -64,25 +75,21 @@ class TestMedianThreshold:
 
 class TestAssignLevels:
     def test_two_values(self):
-        levels, threshold = assign_levels({"a": 0.2, "b": 0.8})
+        levels, threshold = levels_of({"a": 0.2, "b": 0.8})
         assert levels == {"a": Level.LOW, "b": Level.HIGH}
         assert threshold == 0.5
 
     def test_value_at_threshold_is_high(self):
-        levels, threshold = assign_levels({"a": 1.0, "b": 2.0, "c": 3.0})
+        levels, threshold = levels_of({"a": 1.0, "b": 2.0, "c": 3.0})
         assert threshold == 2.0
         assert levels["b"] is Level.HIGH  # exactly the median
         assert levels["a"] is Level.LOW
-
-    def test_single_unit_rejected(self):
-        with pytest.raises(ValidationError, match="fewer than 2"):
-            assign_levels({"a": 1.0})
 
     def test_high_set_size_against_oracle(self):
         rng = random.Random(11)
         for _ in range(40):
             values = {f"u{i}": rng.choice([0.1, 0.4, 0.4, 0.7, 1.3]) for i in range(20)}
-            levels, threshold = assign_levels(values)
+            levels, threshold = levels_of(values)
             expected_high = sum(1 for v in values.values() if v >= threshold)
             assert sum(1 for level in levels.values() if level is Level.HIGH) == expected_high
             # distinct values and even count would split 10/10; ties only enlarge HIGH
@@ -90,7 +97,7 @@ class TestAssignLevels:
 
     def test_distinct_even_split(self):
         values = {f"u{i}": float(i) for i in range(20)}
-        levels, _ = assign_levels(values)
+        levels, _ = levels_of(values)
         assert sum(1 for level in levels.values() if level is Level.HIGH) == 10
 
 
@@ -149,17 +156,31 @@ class TestClassifyDiscipline:
 
 class TestBuildJournalRoles:
     def test_join_and_missing_dimension(self):
-        roles, thresholds = build_journal_roles(
-            cited_scores={"a": 1.0, "b": 2.0, "c": 3.0},
-            citing_scores={"a": 3.0, "b": 1.0},
-        )
+        pairs = [("a", 1.0, 3.0), ("b", 2.0, 1.0), ("c", 3.0, None)]
+        cited_threshold = median_threshold([cited for _, cited, _ in pairs if cited is not None])
+        citing_threshold = median_threshold([citing for _, _, citing in pairs if citing is not None])
+        roles = build_journal_roles(pairs, cited_threshold, citing_threshold)
         by_unit = {r.unit_id: r for r in roles}
         assert by_unit["c"].citing_level is None
         assert by_unit["c"].role is None
         assert by_unit["a"].role is JournalRoleLabel.KNOWLEDGE_EXPORTER
         assert by_unit["b"].role is JournalRoleLabel.KNOWLEDGE_IMPORTER
-        assert thresholds[Dimension.CITED] == 2.0
-        assert thresholds[Dimension.CITING] == 2.0
+        assert cited_threshold == 2.0
+        assert citing_threshold == 2.0
+
+    def test_one_role_per_pair_in_the_pairs_order(self):
+        pairs = [("z", 5.0, 1.0), ("a", None, None), ("m", 1.0, 5.0)]
+        roles = build_journal_roles(iter(pairs), 3.0, 3.0)
+        assert isinstance(roles, list)
+        assert [role.unit_id for role in roles] == ["z", "a", "m"]
+        assert roles[1] == ("a", None, None, None)  # missing both dimensions: no level, no role
+        assert roles[0].role is JournalRoleLabel.KNOWLEDGE_IMPORTER
+        assert roles[2].role is JournalRoleLabel.KNOWLEDGE_EXPORTER
+
+    @pytest.mark.parametrize("pair", [("a", float("nan"), 1.0), ("a", 1.0, float("nan"))])
+    def test_nan_value_rejected(self, pair):
+        with pytest.raises(ValidationError, match="NaN"):
+            build_journal_roles([("b", 1.0, 1.0), pair], 1.0, 1.0)
 
 
 # -- invariants ----------------------------------------------------------------
@@ -178,8 +199,8 @@ def test_levels_depend_only_on_rank(values):
     """Any strictly increasing rescaling of every value keeps all levels."""
     scores = {f"u{i}": v for i, v in enumerate(values)}
     transformed = {u: v**3 + 2.0 for u, v in scores.items()}  # order-preserving, nonlinear
-    before, _ = assign_levels(scores)
-    after, _ = assign_levels(transformed)
+    before, _ = levels_of(scores)
+    after, _ = levels_of(transformed)
     assert before == after
 
 
@@ -191,11 +212,11 @@ def test_raising_a_value_never_demotes_it(values, data):
     unit = f"u{index}"
     value = scores[unit]
 
-    baseline, threshold = assign_levels(scores)
+    baseline, threshold = levels_of(scores)
     # thresholds held fixed: a larger value still clears the recorded threshold
     if baseline[unit] is Level.HIGH:
         assert value + bump >= threshold
 
-    recomputed, _ = assign_levels({**scores, unit: value + bump})
+    recomputed, _ = levels_of({**scores, unit: value + bump})
     if baseline[unit] is Level.HIGH:
         assert recomputed[unit] is Level.HIGH
