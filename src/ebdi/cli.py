@@ -4,7 +4,7 @@ Four subcommands map onto the pipeline stages: ``indicators`` (per-journal
 indicator table), ``roles`` (role report plus quadrant scatter plot),
 ``correlate`` (rank correlations against supplied metrics), and ``network``
 (SC-level citation edge list). Exit codes: 0 success (warnings allowed),
-1 input or validation error, 2 internal arithmetic error.
+1 usage, input or validation error, 2 internal arithmetic error.
 """
 
 from __future__ import annotations
@@ -75,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 after printing a usage error
+        return 1 if exc.code else 0
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(message)s",

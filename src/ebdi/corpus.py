@@ -83,8 +83,9 @@ class Corpus:
     to the number of SCs in the classification file and may be overridden,
     but never below the number of distinct SCs actually used by journals.
 
-    The constructor checks all of this. Its four fields cannot be assigned
-    or deleted afterwards; the derived indexes are cached on first use.
+    The constructor checks all of this; :func:`load_edges` adds row-checked
+    citations without it. Its four fields cannot be assigned or deleted
+    afterwards; the derived indexes are cached on first use.
     """
 
     sc_registry: frozenset[str]
@@ -390,12 +391,14 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
     loading independent of input row order. Ids are stored as the journal
     registry's own strings, one object per journal.
 
-    When the header is exactly :data:`CITATION_FIELDS`, a row of four cells is
-    first read as the CSV parser gives it: known ids, ``CITED`` or ``CITING``
-    and a count of at most 15 ASCII digits are taken as they are. Any other
-    row, or a row with any other cell, is stripped and judged by the strict
-    rules of :func:`read_csv`, :meth:`Dimension.parse` and :func:`parse_count`,
-    so both paths load the same counts and raise the same errors.
+    Every row is checked, with a ``file:line`` error. A row of four cells under
+    a header that is exactly :data:`CITATION_FIELDS` is read as the CSV parser
+    gives it, any other row as :func:`_row_cells` strips it. Known ids,
+    ``CITED`` or ``CITING`` and a count of at most 15 ASCII digits are taken as
+    they are; any other cell sends the stripped row to :meth:`Dimension.parse`
+    and :func:`parse_count`, so both paths load the same counts and errors.
+    ``corpus`` was checked when built, so the :class:`Corpus` checks do not run
+    again; dicts mutated after that are outside this contract.
     """
     known = {journal_id: journal_id for journal_id in corpus.journals}
     dimensions = {dimension.value: dimension for dimension in Dimension}
@@ -404,25 +407,22 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
         raw = columns == list(range(width))  # the header is CITATION_FIELDS, in order
         for row in reader:
             if raw and len(row) == width:
-                focal, partner, dimension_cell, count_cell = row
-                focal_id = known.get(focal)
-                partner_id = known.get(partner)
-                dimension = dimensions.get(dimension_cell)
-                # up to 15 digits stay below MAX_COUNT
-                if (focal_id is None or partner_id is None or dimension is None
-                        or not (count_cell.isdigit() and count_cell.isascii() and len(count_cell) <= 15)):
-                    focal_id, partner_id, dimension, count = _citation(
-                        [cell.strip() for cell in row], known, citation_file, reader.line_num
-                    )
-                else:
-                    count = int(count_cell)
+                cells = row
             else:
                 cells = _row_cells(row, columns, width, citation_file, reader.line_num)
                 if cells is None:
                     continue
+            focal, partner, dimension_cell, count_cell = cells
+            focal_id = known.get(focal)
+            partner_id = known.get(partner)
+            dimension = dimensions.get(dimension_cell)
+            # up to 15 digits stay below MAX_COUNT
+            if (focal_id is None or partner_id is None or dimension is None
+                    or not (count_cell.isdigit() and count_cell.isascii() and len(count_cell) <= 15)):
                 focal_id, partner_id, dimension, count = _citation(
-                    cells, known, citation_file, reader.line_num
-                )
+                    [cell.strip() for cell in cells], known, citation_file, reader.line_num)
+            else:
+                count = int(count_cell)
             key = (focal_id, dimension)
             partners = citations.get(key)
             if partners is None:
@@ -431,11 +431,10 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
     for key, partners in citations.items():
         citations[key] = dict(sorted(partners.items()))
 
-    loaded = Corpus(corpus.sc_registry, corpus.journals, citations, corpus.n_categories)
-    log.info(
-        "loaded %d citation edges, total citation volume %d",
-        loaded.edge_count, loaded.total_citations(),
-    )
+    loaded = object.__new__(Corpus)  # the same journals, so any cached index stays valid
+    vars(loaded).update(vars(corpus), citations=citations)
+    log.info("loaded %d citation edges, total citation volume %d",
+             loaded.edge_count, loaded.total_citations())
     return loaded
 
 

@@ -379,11 +379,8 @@ def run_roles(config: RunConfig) -> int:
         unit_type=config.unit_type, cited_threshold=cited_threshold, citing_threshold=citing_threshold,
     )
 
-    svg_lines = scatter_svg(
-        points=classified, x_threshold=cited_threshold, y_threshold=citing_threshold,
-        x_label="EBDI (cited)", y_label="EBDI (citing)", quadrant_labels=quadrants,
-        title="Disciplinarity by dimension",
-    )
+    svg_lines = scatter_svg(points=classified, x_threshold=cited_threshold, y_threshold=citing_threshold,
+                            quadrant_labels=quadrants)
     svg_path = config.out_dir / "scatter.svg"
     with svg_path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.writelines(svg_lines)

@@ -59,20 +59,18 @@ def scatter_svg(
     points: Sequence[tuple[str, float, float]],
     x_threshold: float,
     y_threshold: float,
-    x_label: str,
-    y_label: str,
     quadrant_labels: Mapping[str, str] | None = None,
-    title: str | None = None,
 ) -> Iterator[str]:
     """Scatter plot with one point per unit and two median threshold lines.
 
     Yields the markup line by line, each ending in a newline, so a plot of
     any size is written without holding its whole text.
 
-    ``points`` are (label, x, y) triples; the x axis carries the cited
-    dimension and the y axis the citing dimension. ``quadrant_labels`` may
-    name the four regions (keys top_left, top_right, bottom_left,
-    bottom_right) that the threshold lines cut out.
+    ``points`` are (label, x, y) triples; the x axis, "EBDI (cited)", carries
+    the cited dimension and the y axis, "EBDI (citing)", the citing one, under
+    the title "Disciplinarity by dimension". ``quadrant_labels`` may name the
+    four regions (keys top_left, top_right, bottom_left, bottom_right) that
+    the threshold lines cut out.
     """
     points = sorted(points)
     left, right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
@@ -85,11 +83,10 @@ def scatter_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">\n'
     )
-    if title:
-        yield (
-            f'<text class="title" x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-size="16">{_escape(title)}</text>\n'
-        )
+    yield (
+        f'<text class="title" x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
+        'font-size="16">Disciplinarity by dimension</text>\n'
+    )
 
     # frame and axes
     yield (
@@ -118,11 +115,11 @@ def scatter_svg(
         )
     yield (
         f'<text class="axis-label" x="{_fmt((left + right) / 2)}" y="{HEIGHT - 16}" '
-        f'text-anchor="middle" font-size="13">{_escape(x_label)}</text>\n'
+        'text-anchor="middle" font-size="13">EBDI (cited)</text>\n'
     )
     yield (
         f'<text class="axis-label" x="18" y="{_fmt((top + bottom) / 2)}" text-anchor="middle" '
-        f'font-size="13" transform="rotate(-90 18 {_fmt((top + bottom) / 2)})">{_escape(y_label)}</text>\n'
+        f'font-size="13" transform="rotate(-90 18 {_fmt((top + bottom) / 2)})">EBDI (citing)</text>\n'
     )
 
     # the two median threshold lines

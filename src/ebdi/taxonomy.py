@@ -113,9 +113,11 @@ def build_journal_roles(
 
     A value is HIGH when it reaches its dimension's threshold, normally the
     :func:`median_threshold` of that dimension's present values. A missing
-    value (None) gets no level, and its unit no role; a NaN value raises
-    :class:`ValidationError`.
+    value (None) gets no level, and its unit no role; a NaN value or threshold
+    raises :class:`ValidationError`.
     """
+    if math.isnan(cited_threshold) or math.isnan(citing_threshold):
+        raise ValidationError("threshold is NaN")
     roles = []
     for unit_id, cited, citing in pairs:
         levels = _level(cited, cited_threshold), _level(citing, citing_threshold)

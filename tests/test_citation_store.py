@@ -16,9 +16,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ebdi import CountingMode, Dimension, aggregate_sc_network, build_profile, load_edges
-from ebdi.corpus import load_classification
+from ebdi import (Corpus, CountingMode, Dimension, LoadError, aggregate_sc_network, build_profile,
+                  load_corpus, load_edges)
+from ebdi.corpus import CITATION_FIELDS, load_classification
 from ebdi.cli import main
 from conftest import csv_text, write_corpus_files
 
@@ -185,6 +187,70 @@ def test_citations_hold_every_merged_count():
     assert corpus.edge_count == 3
     assert corpus.total_citations() == 6
     assert corpus.total_citations(Dimension.CITING) == 0
+
+
+def test_load_corpus_runs_the_corpus_checks_once(tmp_path, monkeypatch):
+    """The classification is checked as a ``Corpus``; the citations only row by row."""
+    rng = random.Random(5)
+    paths = write_corpus_files(tmp_path, *random_inputs(rng, n_scs=4, n_journals=20, n_rows=200))
+    checks = []
+    check = Corpus.__init__
+
+    def counted(self, *args, **kwargs):
+        checks.append(args or kwargs)
+        check(self, *args, **kwargs)
+
+    monkeypatch.setattr(Corpus, "__init__", counted)
+    corpus = load_corpus(paths["classification"], paths["journals"], paths["citations"])
+    assert len(checks) == 1
+    assert corpus.edge_count > 0
+
+
+PAD = st.sampled_from(["", "", " ", "\t", "  "])
+JOURNAL_CELLS = st.sampled_from(["J1", "J2", "J3", "J4", "J5"])
+DIMENSION_CELLS = st.sampled_from(["CITED", "CITING", "cited", "Citing"])
+COUNT_CELLS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.builds(lambda zeros, count: "0" * zeros + str(count), st.integers(1, 16), st.integers(0, 999)),
+    st.sampled_from([str(10**15 - 1), str(10**15), str(2**53)]),
+)
+#: rows the load must refuse, one of which may join a file's valid rows
+BAD_ROWS = st.sampled_from([("j1", "J1", "CITED", "1"), ("J1", "J6", "CITED", "1"),
+                            ("J1", "J2", "SIDEWAYS", "1"), ("J1", "J2", "CITED", "-3"),
+                            ("J1", "J2", "CITED", str(2**53 + 1))])
+
+
+@st.composite
+def citation_file(draw) -> str:
+    """A citation file in a drawn column order: cells padded, lower-case, zero-led, up to 16 digits."""
+    header = draw(st.permutations(CITATION_FIELDS))
+    rows = draw(st.lists(st.tuples(JOURNAL_CELLS, JOURNAL_CELLS, DIMENSION_CELLS, COUNT_CELLS), max_size=12))
+    bad = draw(st.none() | BAD_ROWS)
+    if bad:
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    lines = [",".join(header)]
+    for cells in rows:
+        by_name = {name: draw(PAD) + cell + draw(PAD) for name, cell in zip(CITATION_FIELDS, cells)}
+        lines.append(",".join(by_name[name] for name in header))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(files=st.lists(citation_file(), min_size=1, max_size=2))
+def test_every_accepted_load_passes_the_corpus_checks(files):
+    """``load_edges`` skips the ``Corpus`` checks: its row checks leave nothing for them to refuse."""
+    loaded = classification(
+        [("A", "A", ""), ("B", "B", ""), ("C", "C", "")],
+        [("J1", "", "A"), ("J2", "", "A;B"), ("J3", "", "C"), ("J4", "", "B;C"), ("J5", "", "A;B;C")],
+    )
+    try:
+        for text in files:  # a second file merges into the first
+            loaded = load_edges(loaded, io.StringIO(text))
+    except LoadError:
+        return
+    fields = (loaded.sc_registry, loaded.journals, loaded.citations, loaded.n_categories)
+    rebuilt = Corpus(*fields)
+    assert (rebuilt.sc_registry, rebuilt.journals, rebuilt.citations, rebuilt.n_categories) == fields
 
 
 def test_load_edges_memory_per_merged_edge(tmp_path):

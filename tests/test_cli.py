@@ -256,6 +256,25 @@ def test_malformed_row_exits_1(tmp_path, corpus_paths):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["indicators", "--format", "xml"],
+    ["indicators", "--decimals", "abc"],
+    ["correlate"],  # without --metrics
+    [],  # no subcommand
+])
+def test_usage_error_exits_1(argv, capsys):
+    # 2 is the exit code of an internal arithmetic error; a usage error is an input error
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ebdi") and "error: " in err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ebdi")
+
+
 def test_oversized_decimals_exits_1_without_traceback(tmp_path, corpus_paths, capsys):
     code = main(["indicators", *corpus_args(corpus_paths), "--decimals", "3000000000",
                  "--out", str(tmp_path / "out")])

@@ -618,6 +618,9 @@ LABEL_CHARS = st.one_of(
     st.characters(), st.sampled_from("\x00\x01\x0b\x0c\x1f\ud800\udfff\ufffe\uffff\t\n\r"),
 )
 
+#: the plot's fixed title, x axis label and y axis label, in document order
+PLOT_TEXT = ("Disciplinarity by dimension", "EBDI (cited)", "EBDI (citing)")
+
 
 class TestScatterPlot:
     def _roles_run(self, tmp_path, rows):
@@ -655,15 +658,13 @@ class TestScatterPlot:
     def test_text_is_escaped_for_xml(self):
         raw = "&<>\"'"
         svg_text = "".join(scatter_svg(
-            [(f"u{raw}", 1.0, 2.0), ("v", 3.0, 4.0)], 2.0, 3.0,
-            x_label=f"x{raw}", y_label="y",
-            quadrant_labels={"top_left": f"q{raw}"}, title=f"t{raw}",
+            [(f"u{raw}", 1.0, 2.0), ("v", 3.0, 4.0)], 2.0, 3.0, quadrant_labels={"top_left": f"q{raw}"},
         ))
         escaped = "&amp;&lt;&gt;\"'"
-        for text in (f"t{escaped}", f"x{escaped}", f"q{escaped}", f"u{escaped}"):
+        for text in (f"q{escaped}", f"u{escaped}"):
             assert f">{text}</text>" in svg_text
         labels = {el.text for el in ET.fromstring(svg_text).iter() if el.tag.endswith("text")}
-        assert {f"t{raw}", f"x{raw}", f"q{raw}", f"u{raw}"} <= labels
+        assert {*PLOT_TEXT, f"q{raw}", f"u{raw}"} <= labels
 
     @given(st.text(alphabet=st.one_of(st.sampled_from("&<>\"';#x"), LABEL_CHARS)))
     def test_escape_equals_html_escape(self, text):
@@ -675,8 +676,7 @@ class TestScatterPlot:
     def test_every_plot_parses_and_clean_labels_keep_their_bytes(self, labels):
         def plot():
             points = [(label, float(i), float(-i)) for i, label in enumerate(labels)]
-            return "".join(scatter_svg(points, 0.0, 0.0, x_label=labels[0], y_label="y",
-                                       quadrant_labels={"top_left": labels[-1]}, title=labels[0]))
+            return "".join(scatter_svg(points, 0.0, 0.0, quadrant_labels={"top_left": labels[-1]}))
 
         svg_text = plot()
         root = ET.fromstring(svg_text.encode("utf-8"))  # the bytes the file gets
@@ -685,8 +685,7 @@ class TestScatterPlot:
         read = {}
         for element in root.iter("{http://www.w3.org/2000/svg}text"):
             read.setdefault(element.get("class"), []).append(element.text or "")
-        assert read.get("title", [""]) == [clean[0]]  # an empty title is left out
-        assert read["axis-label"] == [clean[0], "y"]
+        assert read["title"] + read["axis-label"] == list(PLOT_TEXT)
         assert read.get("quadrant-label", [""]) == [clean[-1]]
         assert sorted(read["point-label"]) == sorted(clean)
         if all(map(is_xml_char, "".join(labels))):

@@ -182,6 +182,11 @@ class TestBuildJournalRoles:
         with pytest.raises(ValidationError, match="NaN"):
             build_journal_roles([("b", 1.0, 1.0), pair], 1.0, 1.0)
 
+    @pytest.mark.parametrize("thresholds", [(float("nan"), 50.0), (50.0, float("nan"))])
+    def test_nan_threshold_rejected(self, thresholds):
+        with pytest.raises(ValidationError, match="NaN"):
+            build_journal_roles([("a", 1.0, 90.0), ("b", 99.0, 2.0)], *thresholds)
+
 
 # -- invariants ----------------------------------------------------------------
 
