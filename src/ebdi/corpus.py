@@ -385,11 +385,14 @@ def _citation(
 def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
     """Attach citation counts to an already-classified corpus.
 
-    Duplicate (focal, partner, dimension) rows are summed; repeated calls merge
-    into a copy of the existing counts, so per-year export files can be loaded
-    one after another. Each partner map is sorted by partner id, which makes
-    loading independent of input row order. Ids are stored as the journal
-    registry's own strings, one object per journal.
+    Duplicate (focal, partner, dimension) rows are summed. Repeated calls merge,
+    so per-year export files can be loaded one after another: the file's rows
+    go into fresh maps, each (journal, dimension) key the file touches adds
+    the input's counts to its fresh map, and every other key keeps the input's
+    map object, so a merge costs the file's rows and the maps they touch.
+    Each new map is sorted by partner id, which makes loading independent of
+    input row order. The input corpus is left unchanged. Ids are stored as the
+    journal registry's own strings, one object per journal.
 
     Every row is checked, with a ``file:line`` error. A row of four cells under
     a header that is exactly :data:`CITATION_FIELDS` is read as the CSV parser
@@ -402,7 +405,8 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
     """
     known = {journal_id: journal_id for journal_id in corpus.journals}
     dimensions = {dimension.value: dimension for dimension in Dimension}
-    citations = {key: dict(partners) for key, partners in corpus.citations.items()}
+    # the input's keys in their order, each None until the file touches it
+    citations: dict[tuple[str, Dimension], dict[str, int] | None] = dict.fromkeys(corpus.citations)
     with _open_table(citation_file, CITATION_FIELDS) as (reader, columns, width):
         raw = columns == list(range(width))  # the header is CITATION_FIELDS, in order
         for row in reader:
@@ -429,6 +433,12 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
                 partners = citations[key] = {}
             partners[partner_id] = partners.get(partner_id, 0) + count
     for key, partners in citations.items():
+        loaded_partners = corpus.citations.get(key)
+        if partners is None:
+            citations[key] = loaded_partners  # untouched: the input's own map
+            continue
+        for partner_id, count in (loaded_partners or {}).items():
+            partners[partner_id] = partners.get(partner_id, 0) + count
         citations[key] = dict(sorted(partners.items()))
 
     loaded = object.__new__(Corpus)  # the same journals, so any cached index stays valid

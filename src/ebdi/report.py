@@ -393,11 +393,13 @@ def run_correlations(config: RunConfig) -> int:
     if config.metrics is None:
         raise ValidationError("correlation runs need a metrics file (--metrics)")
     pairs, corpus = _collect_score_pairs(config)
-    series: list[MetricSeries] = [
-        MetricSeries("cited_ebdi", {u: c for u, c, _ in pairs if c is not None}),
-        MetricSeries("citing_ebdi", {u: c for u, _, c in pairs if c is not None}),
+    index: dict[str, int] = {}  # every series of the run is over this one unit index
+    series = [
+        MetricSeries.from_pairs("cited_ebdi", ((u, c) for u, c, _ in pairs if c is not None), index),
+        MetricSeries.from_pairs("citing_ebdi", ((u, c) for u, _, c in pairs if c is not None), index),
     ]
-    series.extend(load_metric_series(config.metrics))
+    del pairs  # the series hold every value they need
+    series.extend(load_metric_series(config.metrics, index))
 
     def rows() -> Iterator[tuple[object, ...]]:  # a CorrelationResult's fields are CORRELATION_COLUMNS
         for x, y in combinations(series, 2):

@@ -9,22 +9,30 @@ Student-t tail P(|T| > |t|) = I_x(df/2, 1/2), the regularized incomplete beta
 at x = df / (df + t^2), evaluated by its continued fraction in the standard
 library alone.
 
-Series are joined pairwise-complete: units missing from either series are
-dropped for that pair only.
+Series are columnar. A run keeps one unit index, a ``dict[str, int]`` from
+unit id to position, and every :class:`MetricSeries` of the run holds that
+same object. A series is its units' positions sorted by value, the ends of
+its runs of equal values and its values, as arrays built once when it is
+made; it holds no dict and no float object per value. :func:`spearman_rho`
+joins two series pairwise-complete over their shared index, so units missing
+from either series are dropped for that pair only, and refuses two series
+over different indexes. Its kernel works on positions alone: a bytes mask of
+the overlap in each series' order, doubled average ranks from the overlap
+counts before and through each run, and exact integer sums.
 
 :class:`MetricSeries` and :class:`CorrelationResult` are named tuples; a
-series's constructor rejects non-finite values.
+series's constructor rejects a position outside its index, a repeated unit
+and a non-finite value.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
-from functools import cached_property
-from itertools import accumulate, compress
-from operator import add, mul, ne
-from typing import Iterable, Mapping, NamedTuple
+from array import array
+from itertools import accumulate, chain, compress, repeat
+from operator import add, mul, ne, sub
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import Source, parse_float, read_csv
 from .errors import ComputationError, LoadError, ValidationError
@@ -44,38 +52,75 @@ _BETA_CF_TINY = sys.float_info.min / sys.float_info.epsilon
 
 class _SeriesFields(NamedTuple):
     metric_name: str
-    values: Mapping[str, float]
+    index: dict[str, int]
+    units: array
+    values: array
+    ends: bytes
 
 
 class MetricSeries(_SeriesFields):
-    """Named per-unit values of one metric; units without a value are absent.
+    """One metric's values over a run's shared unit index; units without a value are absent.
 
-    A named tuple whose constructor (also through ``_make``, ``_replace``
-    and unpickling) rejects a non-finite value. It keeps an instance dict,
-    which holds only the cached :attr:`ranking`.
+    ``index`` maps each unit id to its position, and every series of a run
+    holds the same index object. ``units`` (``array('i')``) are the series'
+    positions in that index, sorted by value; ``values`` (``array('d')``) are
+    their values in the same order, and byte i of ``ends`` is 1 where entry i
+    ends a run of equal values (``-0.0`` and ``0.0`` are equal). A named tuple
+    without an instance dict, whose constructor (also through ``_make``,
+    ``_replace`` and unpickling) takes ``units`` and ``values`` in any order,
+    rejects a position outside the index, a repeated unit and a non-finite
+    value, sorts both by value and derives ``ends``, replacing any ``ends``
+    it is given. Build a series from (unit id, value) pairs with
+    :meth:`from_pairs`; an index only grows and keeps every position.
     """
 
-    def __new__(cls, metric_name: str, values: Mapping[str, float]) -> "MetricSeries":
-        for unit_id, value in values.items():
-            if not math.isfinite(value):
+    __slots__ = ()
+
+    def __new__(
+        cls, metric_name: str, index: dict[str, int], units: Iterable[int], values: Iterable[float],
+        ends: bytes = b"",
+    ) -> "MetricSeries":
+        units, values = array("i", units), array("d", values)
+        if len(units) != len(values):
+            raise ValidationError(
+                f"metric {metric_name!r} has {len(units)} units but {len(values)} values"
+            )
+        present = bytearray(len(index))
+        for position in units:
+            if not 0 <= position < len(present):
                 raise ValidationError(
-                    f"non-finite value for unit {unit_id!r} in metric {metric_name!r}"
+                    f"unit position {position} is outside the index of metric {metric_name!r}"
                 )
-        return tuple.__new__(cls, (metric_name, values))
+            if present[position]:
+                raise ValidationError(
+                    f"unit {_unit_id(index, position)!r} repeats in metric {metric_name!r}"
+                )
+            present[position] = 1
+        if not all(map(math.isfinite, values)):
+            position = next(units[i] for i, value in enumerate(values) if not math.isfinite(value))
+            raise ValidationError(
+                f"non-finite value for unit {_unit_id(index, position)!r} in metric {metric_name!r}"
+            )
+        order = sorted(range(len(values)), key=values.__getitem__)
+        units = array("i", map(units.__getitem__, order))
+        values = array("d", map(values.__getitem__, order))
+        ends = bytes(map(ne, values, values[1:])) + b"\x01" if values else b""
+        return tuple.__new__(cls, (metric_name, index, units, values, ends))
 
     @classmethod
     def _make(cls, iterable: Iterable[object]) -> "MetricSeries":
         return cls(*iterable)
 
-    @cached_property
-    def ranking(self) -> tuple[tuple[str, ...], bytes]:
-        """(units sorted by value, run breaks), built once per series.
-
-        :func:`spearman_rho` filters this one order to each pair's overlap, so
-        a series is sorted once however many pairs it takes part in. The
-        values must not change after the first pair.
-        """
-        return _rank_order(self.values)
+    @classmethod
+    def from_pairs(
+        cls, metric_name: str, pairs: Iterable[tuple[str, float]], index: dict[str, int],
+    ) -> "MetricSeries":
+        """The series of (unit id, value) pairs over ``index``, which takes each new unit at its end."""
+        units, values = array("i"), array("d")
+        for unit_id, value in pairs:
+            units.append(index.setdefault(unit_id, len(index)))
+            values.append(value)
+        return cls(metric_name, index, units, values)
 
 
 class CorrelationResult(NamedTuple):
@@ -87,69 +132,71 @@ class CorrelationResult(NamedTuple):
     method_note: str
 
 
-def _rank_order(values: Mapping[str, float]) -> tuple[tuple[str, ...], bytes]:
-    """Units sorted by value, and the run breaks between them.
+def _unit_id(index: Mapping[str, int], position: int) -> str | int:
+    """The unit id at ``position``, for an error message; the position itself if none is."""
+    return next((unit_id for unit_id, at in index.items() if at == position), position)
 
-    Byte i is 1 where unit i + 1 has a larger value than unit i, else 0. The
-    running sum of the breaks numbers the runs of equal values 0, 1, ... from
-    the smallest value; ``-0.0`` and ``0.0`` are equal, so they share a run.
+
+def _kept_ranks(kept: bytes, ends: bytes) -> tuple[Iterator[int], int]:
+    """Doubled average ranks minus 1 of a series' kept entries, in its order, and their sum of squares.
+
+    ``kept`` marks, in the series' value order, the entries that take part. A
+    run of equal values whose kept entries follow ``before`` smaller kept ones
+    and end at ``through`` holds ranks before+1 .. through, so its doubled
+    average rank minus 1 is the integer before + through.
     """
-    units = tuple(sorted(values, key=values.__getitem__))
-    ordered = list(map(values.__getitem__, units))
-    return units, bytes(map(ne, ordered, ordered[1:]))
-
-
-def _doubled_ranks(runs: Iterable[int]) -> list[int]:
-    """Twice the 1-based average rank of each entry of a non-decreasing run sequence.
-
-    A run of ``count`` equal values after ``done`` smaller ones holds
-    positions done+1 .. done+count, so its doubled average rank is the
-    integer done + (done + count) + 1.
-    """
-    runs = list(runs)
-    counts = Counter(runs)
-    sizes = counts.values()
-    rank_of_run = dict(zip(counts, map(add, accumulate(sizes), accumulate(sizes, initial=1))))
-    return list(map(rank_of_run.__getitem__, runs))
+    through = list(compress(accumulate(kept), ends))
+    before = [0, *through[:-1]]
+    ranks = list(map(add, before, through))
+    counts = list(map(sub, through, before))
+    squares = sum(map(mul, map(mul, ranks, ranks), counts))
+    return chain.from_iterable(map(repeat, ranks, counts)), squares
 
 
 def spearman_rho(x: MetricSeries, y: MetricSeries) -> tuple[float, int]:
     """Tie-corrected Spearman correlation over the units present in both series.
 
-    Returns (rho, n) where n is the overlap size. Requires n >= 3 and both
-    overlapping series non-constant.
+    Returns (rho, n) where n is the overlap size. Requires both series over
+    one index object, n >= 3 and both overlapping series non-constant.
 
-    Each series keeps the units of its :attr:`MetricSeries.ranking` that the
-    other series also has, and gives every run of ties its doubled average
-    rank R, an integer. Doubled ranks sum to n(n+1), so the centred ranks are
-    (R - (n+1))/2 and the Pearson sums are exact integers over four:
-    4·cov = ΣRx·Ry - n(n+1)² and 4·var = ΣR² - n(n+1)². Dividing each integer
-    by 4 gives the correctly rounded float. ``math.fsum`` over the products of
-    the centred float ranks gives the same float while every such product is
-    exact in a double: a multiple of 1/4 below n²/4, so for n² < 2**53, that
-    is n below about 9·10⁷. The steps after the sums are the same float
-    operations, so rho has the same bits as the float Pearson of average
-    ranks, over any order of the overlap.
+    A bytes mask marks, in each series' value order, the units the other
+    series also has, and every run of ties gets its doubled average rank R,
+    an integer, from the kept counts before and through the run. With a = R - 1
+    (the doubled ranks minus 1 sum to n²), the centred ranks are (a - n)/2 and
+    the Pearson sums are exact integers over four: 4·cov = Σax·ay - n³ and
+    4·var = Σa² - n³. x's ranks go to their units' index positions, so y reads
+    them in its own order. Dividing each integer by 4 gives the correctly
+    rounded float. ``math.fsum`` over the products of the centred float ranks
+    gives the same float while every such product is exact in a double: a
+    multiple of 1/4 below n²/4, so for n² < 2**53, that is n below about 9·10⁷.
+    The steps after the sums are the same float operations, so rho has the
+    same bits as the float Pearson of average ranks, over any order of the
+    overlap.
     """
-    units_x, breaks_x = x.ranking
-    units_y, breaks_y = y.ranking
-    in_y = list(map(y.values.__contains__, units_x))
-    in_x = list(map(x.values.__contains__, units_y))
-    kept_x = list(compress(units_x, in_y))
-    n = len(kept_x)
+    if x.index is not y.index:
+        raise ValidationError(
+            f"{x.metric_name!r} and {y.metric_name!r} are built over different unit indexes"
+        )
+    in_y = bytearray(len(x.index))
+    for position in y.units:
+        in_y[position] = 1
+    kept_x = bytes([in_y[position] for position in x.units])
+    n = kept_x.count(1)
     if n < 3:
         raise ValidationError(
             f"only {n} overlapping units between {x.metric_name!r} and "
             f"{y.metric_name!r}; need at least 3"
         )
-    ranks_x = _doubled_ranks(compress(accumulate(breaks_x, initial=0), in_y))
-    ranks_y = _doubled_ranks(compress(accumulate(breaks_y, initial=0), in_x))
-    rank_x_of = dict(zip(kept_x, ranks_x))
-    aligned_x = map(rank_x_of.__getitem__, compress(units_y, in_x))
-    offset = n * (n + 1) ** 2
-    cov4 = sum(map(mul, aligned_x, ranks_y)) - offset
-    var_x4 = sum(map(mul, ranks_x, ranks_x)) - offset
-    var_y4 = sum(map(mul, ranks_y, ranks_y)) - offset
+    ranks_x, squares_x = _kept_ranks(kept_x, x.ends)
+    rank_x_at = [0] * len(x.index)  # every kept rank is at least 1
+    for position, rank in zip(compress(x.units, kept_x), ranks_x):
+        rank_x_at[position] = rank
+    aligned_x = [rank_x_at[position] for position in y.units]
+    ranks_y, squares_y = _kept_ranks(bytes(map(bool, aligned_x)), y.ends)
+    offset = n**3
+    cov4 = sum(map(mul, filter(None, aligned_x), ranks_y)) - offset
+    var_x4 = squares_x - offset
+    var_y4 = squares_y - offset
     if var_x4 == 0 or var_y4 == 0:
         raise ValidationError("constant series; correlation undefined")
     rho = (cov4 / 4) / math.sqrt((var_x4 / 4) * (var_y4 / 4))
@@ -229,34 +276,43 @@ def correlate(x: MetricSeries, y: MetricSeries) -> CorrelationResult:
     )
 
 
-def load_metric_series(source: Source) -> list[MetricSeries]:
+def load_metric_series(source: Source, index: dict[str, int] | None = None) -> list[MetricSeries]:
     """Read long-format metric values: header ``journal_id,metric_name,value``.
 
-    Returns one series per metric name, sorted by name, with its values in
-    file order; each journal id is one string object across all series.
-    Duplicate (journal, metric) rows, values that are not finite decimals and
-    the indicator's own names ``cited_ebdi`` and ``citing_ebdi`` are load
-    errors.
+    Returns one series per metric name, sorted by name, all over ``index``
+    (a fresh one by default), which takes each new journal id at its end in
+    file order. Duplicate (journal, metric) rows, values that are not finite
+    decimals and the indicator's own names ``cited_ebdi`` and ``citing_ebdi``
+    are load errors.
     """
-    by_metric: dict[str, dict[str, float]] = {}
-    ids: dict[str, str] = {}
+    if index is None:
+        index = {}
+    columns: dict[str, tuple[array, array, bytearray]] = {}  # units, values, seen mark per position
     for line, (journal_id, metric_name, cell) in read_csv(source, METRIC_FIELDS):
         if not journal_id or not metric_name:
             raise LoadError("journal_id and metric_name must be non-empty", path=source, line=line)
-        journal_id = ids.setdefault(journal_id, journal_id)
         if metric_name in RESERVED_METRIC_NAMES:
             raise LoadError(
                 f"metric name {metric_name!r} is reserved for the indicator's own series",
                 path=source, line=line,
             )
-        series = by_metric.setdefault(metric_name, {})
-        if journal_id in series:
+        position = index.setdefault(journal_id, len(index))
+        column = columns.get(metric_name)
+        if column is None:
+            column = columns[metric_name] = (array("i"), array("d"), bytearray())
+        units, values, seen = column
+        if position >= len(seen):
+            seen.extend(bytes(len(index) - len(seen)))
+        elif seen[position]:
             raise LoadError(
                 f"duplicate value for journal {journal_id!r}, metric {metric_name!r}",
                 path=source, line=line,
             )
-        series[journal_id] = parse_float(cell, "value", source, line)
-    return [
-        MetricSeries(metric_name=name, values=values)
-        for name, values in sorted(by_metric.items())
-    ]
+        seen[position] = 1
+        values.append(parse_float(cell, "value", source, line))
+        units.append(position)
+    series = []
+    for name in sorted(columns):
+        units, values, _ = columns.pop(name)  # dropped as soon as its series holds the sorted copy
+        series.append(MetricSeries(name, index, units, values))
+    return series

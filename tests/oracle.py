@@ -174,6 +174,12 @@ def float_pearson(x, y):
     return max(-1.0, min(1.0, r))
 
 
+def series_values(series):
+    """A ``MetricSeries``'s values by unit id, read back through its index."""
+    unit_ids = {position: unit_id for unit_id, position in series.index.items()}
+    return {unit_ids[position]: value for position, value in zip(series.units, series.values)}
+
+
 def brute_sc_network(journal_memberships, edge_rows, dimension, mode):
     """Hand-aggregated SC-to-SC weights for one dimension."""
     merged = {}

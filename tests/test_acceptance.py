@@ -203,9 +203,10 @@ def test_criterion_8_spearman_suite():
             n = rng.randint(3, 8)
             x = rng.sample(range(1000), n)
             y = rng.sample(range(1000), n)
+            index = {}
             rho, _ = spearman_rho(
-                MetricSeries("x", {f"u{i}": float(v) for i, v in enumerate(x)}),
-                MetricSeries("y", {f"u{i}": float(v) for i, v in enumerate(y)}),
+                MetricSeries.from_pairs("x", ((f"u{i}", float(v)) for i, v in enumerate(x)), index),
+                MetricSeries.from_pairs("y", ((f"u{i}", float(v)) for i, v in enumerate(y)), index),
             )
             rank_x = [sorted(x).index(v) + 1 for v in x]
             rank_y = [sorted(y).index(v) + 1 for v in y]

@@ -173,6 +173,30 @@ def test_second_load_leaves_the_input_corpus_unchanged():
     assert all_profiles(corpus) == before_profiles
 
 
+def test_a_second_file_rebuilds_only_the_maps_it_touches():
+    rng = random.Random(5)
+    sc_rows, journal_rows, rows = random_inputs(rng, n_scs=5, n_journals=30, n_rows=60)
+    corpus = load_edges(classification(sc_rows, journal_rows), citations(rows))
+    before = copy.deepcopy(corpus.citations)
+    touched = next(key for key in corpus.citations if key[1] is Dimension.CITED)
+    new_key = next((j, Dimension.CITING) for j in corpus.journals
+                   if (j, Dimension.CITING) not in corpus.citations)
+    partner = "J0000"
+
+    new_rows = [(touched[0], partner, "CITED", 4), (new_key[0], partner, "citing", 0)]
+    merged = load_edges(corpus, citations(new_rows))
+
+    assert list(merged.citations) == list(corpus.citations) + [new_key]  # key order kept
+    for key, partners in corpus.citations.items():
+        if key != touched:
+            assert merged.citations[key] is partners
+    assert merged.citations[touched] is not corpus.citations[touched]
+    assert merged.citations[touched] == dict(sorted(
+        {**before[touched], partner: before[touched].get(partner, 0) + 4}.items()))
+    assert merged.citations[new_key] == {partner: 0}
+    assert corpus.citations == before
+
+
 def test_citations_hold_every_merged_count():
     corpus = load_edges(
         classification([("A", "A", "")], [("J1", "One", "A"), ("J2", "Two", "A")]),

@@ -29,6 +29,7 @@ SCORE = dict(
     entropy=math.log(2), hmax=math.log(4), pct_hmax=50.0, ebdi=50.0 / 51.0,
     raw_diversity=2, external_total=10.0,
 )
+SERIES = dict(metric_name="m", index={"a": 0}, units=[0], values=[1.0])
 
 #: (record, valid fields, bad fields, exception, message)
 BAD_FIELDS = [
@@ -39,11 +40,14 @@ BAD_FIELDS = [
     (RunConfig, {}, {"counting": "half"}, ValidationError, "unknown counting mode"),
     (RunConfig, {"scores": "s.csv", "counting": None}, {"focal_sc": "LIS"}, ValidationError,
      "--scores replaces the corpus; drop --focal-sc"),
-    (MetricSeries, {"metric_name": "m", "values": {"a": 1.0}}, {"values": {"a": math.inf}},
-     ValidationError, "non-finite value for unit 'a' in metric 'm'"),
+    (MetricSeries, SERIES, {"values": [math.inf]}, ValidationError,
+     "non-finite value for unit 'a' in metric 'm'"),
+    (MetricSeries, SERIES, {"units": [1]}, ValidationError, "unit position 1 is outside the index"),
+    (MetricSeries, SERIES, {"units": [0, 0], "values": [1.0, 2.0]}, ValidationError,
+     "unit 'a' repeats in metric 'm'"),
 ]
 #: the case numbers skip 3 and 4, two EbdiScore rows, so each case keeps its id
-NUMBERS = (0, 1, 2, 5, 6, 7, 8)
+NUMBERS = (0, 1, 2, 5, 6, 7, 8, 9, 10)
 IDS = [f"{case[0].__name__}-{next(iter(case[2]))}-{i}"
        for i, case in zip(NUMBERS, BAD_FIELDS, strict=True)]
 
@@ -81,7 +85,7 @@ class TestEveryRouteChecks:
 
 @pytest.mark.parametrize("record, valid", [
     (CitationProfile, PROFILE), (EbdiScore, SCORE), (RunConfig, {"fmt": "json"}),
-    (MetricSeries, {"metric_name": "m", "values": {"a": 1.0}}),
+    (MetricSeries, SERIES),
 ])
 def test_valid_records_survive_every_route(record, valid):
     good = record(**valid)

@@ -18,12 +18,17 @@ from hypothesis import given, strategies as st
 
 from ebdi import ComputationError, LoadError, ValidationError
 from ebdi import stats as stats_module
+from ebdi.report import RunConfig, run_correlations
 from ebdi.stats import MetricSeries, correlate, load_metric_series, p_two_tailed, spearman_rho
-from oracle import brute_rank_pearson, float_pearson
+from oracle import brute_rank_pearson, float_pearson, series_values
+
+#: the unit index the series of these tests share unless a test builds its own; it only
+#: grows, so a position one test takes never changes under another
+UNITS: dict[str, int] = {}
 
 
-def series(name, values):
-    return MetricSeries(name, {f"u{i}": float(v) for i, v in enumerate(values)})
+def series(name, values, index=UNITS):
+    return MetricSeries.from_pairs(name, ((f"u{i}", float(v)) for i, v in enumerate(values)), index)
 
 
 def p_two_tailed_mpmath(rho, n):
@@ -92,10 +97,20 @@ class TestSpearmanRho:
         assert rho == pytest.approx(-1.0 / math.sqrt(10), abs=1e-12)
 
     def test_pairwise_complete_overlap(self):
-        x = MetricSeries("x", {"a": 1.0, "b": 2.0, "c": 3.0, "only_x": 9.0})
-        y = MetricSeries("y", {"a": 2.0, "b": 4.0, "c": 6.0, "only_y": 1.0})
+        x = MetricSeries.from_pairs("x", {"a": 1.0, "b": 2.0, "c": 3.0, "only_x": 9.0}.items(), UNITS)
+        y = MetricSeries.from_pairs("y", {"a": 2.0, "b": 4.0, "c": 6.0, "only_y": 1.0}.items(), UNITS)
         rho, n = spearman_rho(x, y)
         assert (rho, n) == (1.0, 3)
+
+    def test_series_over_different_indexes_rejected(self):
+        x = series("x", [1, 2, 3, 4])
+        y = series("y", [1, 2, 3, 4], index={})
+        for function in (spearman_rho, correlate):
+            with pytest.raises(ValidationError, match="'x' and 'y' are built over different unit indexes"):
+                function(x, y)
+        # an equal copy is still another index
+        with pytest.raises(ValidationError, match="different unit indexes"):
+            correlate(x, series("y", [1, 2, 3, 4], index=dict(UNITS)))
 
     def test_small_overlap_rejected(self):
         with pytest.raises(ValidationError, match="at least 3"):
@@ -200,6 +215,16 @@ class TestCorrelate:
         assert "convention" in result.method_note
 
 
+def _metrics_text(rng, n_journals):
+    """8 metrics over ``n_journals`` journals, 95% present, in long format."""
+    lines = ["journal_id,metric_name,value"]
+    lines += [
+        f"J{j:05d},metric_{m},{round(rng.gauss(0, 30), 1)}"
+        for m in range(8) for j in range(n_journals) if rng.random() < 0.95
+    ]
+    return "\n".join(lines) + "\n"
+
+
 class TestLoadMetricSeries:
     def test_long_format_grouped_by_metric(self):
         text = (
@@ -208,7 +233,8 @@ class TestLoadMetricSeries:
         )
         loaded = load_metric_series(io.StringIO(text))
         assert [s.metric_name for s in loaded] == ["impact", "influence"]
-        assert loaded[0].values == {"J1": 2.5, "J2": 1.5}
+        assert series_values(loaded[0]) == {"J1": 2.5, "J2": 1.5}
+        assert list(loaded[0].values) == [1.5, 2.5]  # sorted by value
 
     def test_duplicate_entry_rejected(self):
         text = "journal_id,metric_name,value\nJ1,impact,2.5\nJ1,impact,2.5\n"
@@ -220,26 +246,27 @@ class TestLoadMetricSeries:
         with pytest.raises(ValidationError, match="invalid value"):
             load_metric_series(io.StringIO(text))
 
-    def test_journal_ids_are_shared_across_metrics(self):
-        text = "journal_id,metric_name,value\nJ1,impact,2.5\nJ1,influence,0.9\n"
+    def test_every_loaded_series_shares_one_index(self):
+        text = "journal_id,metric_name,value\nJ1,impact,2.5\nJ2,influence,0.9\nJ1,influence,0.4\n"
         impact, influence = load_metric_series(io.StringIO(text))
-        assert next(iter(impact.values)) is next(iter(influence.values))
+        assert impact.index is influence.index
+        assert impact.index == {"J1": 0, "J2": 1}  # in file order
+        given = {"J9": 0}
+        assert all(s.index is given for s in load_metric_series(io.StringIO(text), given))
+        assert given == {"J9": 0, "J1": 1, "J2": 2}
 
     def test_load_memory_per_row(self):
-        """At most 85 B retained by ``load_metric_series`` per row.
+        """At most 40 B retained by ``load_metric_series`` per row.
 
-        8 metrics over 2,000 journals, 95% present. One shared id string per
-        journal measures about 59 B per row here (Python 3.11): a dict entry
-        and a float. A fresh id string on every row measured 114 B, so this
-        bound fails for that design.
+        8 metrics over 2,000 journals, 95% present. The columnar series
+        measure about 28 B per row here (Python 3.11): a 4-byte position, an
+        8-byte value and a 1-byte run end per row, and one index entry, id
+        string and position per journal. A dict of floats per series measured
+        59 B, and a fresh id string on every row 114 B, so this bound fails
+        for both designs.
         """
-        rng = random.Random(7)
-        lines = ["journal_id,metric_name,value"]
-        lines += [
-            f"J{j:05d},metric_{m},{round(rng.gauss(0, 30), 1)}"
-            for m in range(8) for j in range(2000) if rng.random() < 0.95
-        ]
-        source = io.StringIO("\n".join(lines) + "\n")
+        source = io.StringIO(_metrics_text(random.Random(7), 2000))
+        lines = source.getvalue().splitlines()
 
         gc.collect()
         tracemalloc.start()
@@ -251,7 +278,7 @@ class TestLoadMetricSeries:
             tracemalloc.stop()
 
         assert sum(len(s.values) for s in loaded) == len(lines) - 1
-        assert (current - base) / (len(lines) - 1) <= 85
+        assert (current - base) / (len(lines) - 1) <= 40
 
     @pytest.mark.parametrize("name", ["cited_ebdi", "citing_ebdi"])
     def test_indicator_names_are_reserved(self, tmp_path, name):
@@ -260,6 +287,40 @@ class TestLoadMetricSeries:
         path.write_text(f"journal_id,metric_name,value\nJ1,impact,2.5\nJ1,{name},0.9\n")
         with pytest.raises(LoadError, match=rf"metrics\.csv:3: metric name '{name}' is reserved"):
             load_metric_series(path)
+
+
+def test_correlation_run_peak_memory_per_input_row(tmp_path):
+    """A whole ``run_correlations`` peaks at most 80 B per input row above its start.
+
+    2,000 scored journals (3% miss a cited value) plus 8 metrics, 45 pairs.
+    With every series over one index it measures about 61 B per row here
+    (Python 3.11); a dict of floats per series, with each pair's rank dicts,
+    measured 117 B.
+    """
+    rng = random.Random(11)
+    scores = ["unit_id,cited_ebdi,citing_ebdi"] + [
+        f"J{j:05d},{'' if rng.random() < 0.03 else round(rng.uniform(0, 100), 3)},"
+        f"{round(rng.uniform(0, 100), 3)}"
+        for j in range(2000)
+    ]
+    (tmp_path / "scores.csv").write_text("\n".join(scores) + "\n", encoding="utf-8")
+    metrics = _metrics_text(rng, 2000)
+    (tmp_path / "metrics.csv").write_text(metrics, encoding="utf-8")
+    rows = len(scores) + metrics.count("\n") - 2
+    config = RunConfig(scores=tmp_path / "scores.csv", metrics=tmp_path / "metrics.csv",
+                       out_dir=tmp_path / "out")
+    assert run_correlations(config) == 45  # a first run warms every cache the run fills
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert run_correlations(config) == 45
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    assert (peak - base) / rows <= 80
 
 
 # -- invariants ----------------------------------------------------------------
@@ -284,12 +345,13 @@ tied_values = st.lists(
 def test_rho_is_pearson_of_rankdata_bit_for_bit(xs, ys):
     n = min(len(xs), len(ys))
     x, y = series("x", xs[:n]), series("y", ys[:n])
-    if len(set(x.values.values())) < 2 or len(set(y.values.values())) < 2:
+    x_values, y_values = series_values(x), series_values(y)
+    if len(set(x_values.values())) < 2 or len(set(y_values.values())) < 2:
         return
-    in_order = sorted(x.values)  # the reference joins on sorted unit ids
+    in_order = sorted(x_values)  # the reference joins on sorted unit ids
     expected = float_pearson(
-        scipy.stats.rankdata([x.values[u] for u in in_order]).tolist(),
-        scipy.stats.rankdata([y.values[u] for u in in_order]).tolist(),
+        scipy.stats.rankdata([x_values[u] for u in in_order]).tolist(),
+        scipy.stats.rankdata([y_values[u] for u in in_order]).tolist(),
     )
     assert spearman_rho(x, y)[0] == expected
 
@@ -304,7 +366,8 @@ partial_series = st.dictionaries(
 @given(x_values=partial_series, y_values=partial_series)
 def test_partial_overlap_is_pearson_of_rankdata_bit_for_bit(x_values, y_values):
     # unit sets overlap only in part, so each ranking is filtered to the overlap
-    x, y = MetricSeries("x", x_values), MetricSeries("y", y_values)
+    x = MetricSeries.from_pairs("x", x_values.items(), UNITS)
+    y = MetricSeries.from_pairs("y", y_values.items(), UNITS)
     overlap = sorted(x_values.keys() & y_values.keys())
     xs = [x_values[u] for u in overlap]
     ys = [y_values[u] for u in overlap]
@@ -322,23 +385,27 @@ def test_partial_overlap_is_pearson_of_rankdata_bit_for_bit(x_values, y_values):
 
 
 def test_each_series_is_ranked_once(monkeypatch):
-    built = []
-    rank_order = stats_module._rank_order
+    """A series is sorted once, when it is built; its pairs only filter that order."""
+    sorts = []
 
-    def counting_rank_order(values):
-        built.append(len(values))
-        return rank_order(values)
+    def counting_sorted(iterable, **kwargs):
+        ordered = sorted(iterable, **kwargs)
+        sorts.append(len(ordered))
+        return ordered
 
-    monkeypatch.setattr("ebdi.stats._rank_order", counting_rank_order)
+    monkeypatch.setattr(stats_module, "sorted", counting_sorted, raising=False)
     rng = random.Random(5)
     units = [f"u{i}" for i in range(60)]
+    index = {}
     all_series = [
-        MetricSeries(f"m{k}", {u: float(rng.randint(0, 9)) for u in units if rng.random() < 0.8})
+        MetricSeries.from_pairs(
+            f"m{k}", [(u, float(rng.randint(0, 9))) for u in units if rng.random() < 0.8], index)
         for k in range(10)
     ]
+    assert sorts == [len(s.units) for s in all_series]
     results = [correlate(x, y) for x, y in itertools.combinations(all_series, 2)]
     assert len(results) == 45
-    assert len(built) == 10
+    assert len(sorts) == 10
 
 
 @given(order=st.permutations(list(itertools.permutations(range(5), 2))), seed=st.integers(0, 99))
@@ -349,7 +416,8 @@ def test_reused_series_match_fresh_copies_in_any_pair_order(order, seed):
         {u: rng.choice([-0.0, 0.0, 1.0, 2.0, rng.random()]) for u in units if rng.random() < 0.8}
         for _ in range(5)
     ]
-    shared = [MetricSeries(f"m{k}", v) for k, v in enumerate(values)]
+    index = {}
+    shared = [MetricSeries.from_pairs(f"m{k}", v.items(), index) for k, v in enumerate(values)]
 
     def outcome(x, y):
         try:
@@ -358,7 +426,9 @@ def test_reused_series_match_fresh_copies_in_any_pair_order(order, seed):
             return str(exc)
 
     for i, j in order:
-        fresh = outcome(MetricSeries(f"m{i}", dict(values[i])), MetricSeries(f"m{j}", dict(values[j])))
+        fresh_index = {}
+        fresh = outcome(MetricSeries.from_pairs(f"m{i}", dict(values[i]).items(), fresh_index),
+                        MetricSeries.from_pairs(f"m{j}", dict(values[j]).items(), fresh_index))
         assert outcome(shared[i], shared[j]) == fresh
 
 
