@@ -40,8 +40,10 @@ class Dimension(str, Enum):
 
     @classmethod
     def parse(cls, token: str) -> "Dimension":
+        stripped = token.strip()
         try:
-            return cls(token.strip().upper())
+            # only ASCII is upper-cased: str.upper folds some other letters onto ASCII (ı to I)
+            return cls(stripped.upper() if stripped.isascii() else stripped)
         except ValueError:
             raise ValidationError(
                 f"unparseable dimension {token!r} (expected CITED or CITING)"
@@ -76,7 +78,7 @@ class Corpus:
     SCs: a non-empty, strictly increasing tuple of registry ids, which
     journals with the same set share. ``citations``, the one stored form of
     the edges, maps (focal journal, dimension) to {partner journal: summed
-    count, 0 kept}, sorted by partner.
+    count, 0 kept}.
 
     ``n_categories`` is the number of possible subject categories in the
     system, used downstream as the n of the maximum entropy ln(n). It defaults
@@ -143,14 +145,6 @@ class Corpus:
     @property
     def edge_count(self) -> int:
         return sum(map(len, self.citations.values()))
-
-    def total_citations(self, dimension: Dimension | None = None) -> int:
-        """Total citation volume, optionally restricted to one dimension."""
-        return sum(
-            sum(partners.values())
-            for (_, d), partners in self.citations.items()
-            if dimension is None or d is dimension
-        )
 
     @cached_property
     def _journals_by_sc(self) -> dict[str, tuple[str, ...]]:
@@ -387,12 +381,12 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
 
     Duplicate (focal, partner, dimension) rows are summed. Repeated calls merge,
     so per-year export files can be loaded one after another: the file's rows
-    go into fresh maps, each (journal, dimension) key the file touches adds
-    the input's counts to its fresh map, and every other key keeps the input's
-    map object, so a merge costs the file's rows and the maps they touch.
-    Each new map is sorted by partner id, which makes loading independent of
-    input row order. The input corpus is left unchanged. Ids are stored as the
-    journal registry's own strings, one object per journal.
+    add into a copy of the input's map for each (journal, dimension) key they
+    touch, and every other key keeps the input's map object, so a merge costs
+    the file's rows and the maps they touch. The input corpus is left
+    unchanged. A map's partners come in the order they first appear, which no
+    reader depends on. Ids are stored as the journal registry's own strings,
+    one object per journal.
 
     Every row is checked, with a ``file:line`` error. A row of four cells under
     a header that is exactly :data:`CITATION_FIELDS` is read as the CSV parser
@@ -430,21 +424,15 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
             key = (focal_id, dimension)
             partners = citations.get(key)
             if partners is None:
-                partners = citations[key] = {}
+                partners = citations[key] = dict(corpus.citations.get(key, ()))
             partners[partner_id] = partners.get(partner_id, 0) + count
-    for key, partners in citations.items():
-        loaded_partners = corpus.citations.get(key)
-        if partners is None:
-            citations[key] = loaded_partners  # untouched: the input's own map
-            continue
-        for partner_id, count in (loaded_partners or {}).items():
-            partners[partner_id] = partners.get(partner_id, 0) + count
-        citations[key] = dict(sorted(partners.items()))
+    for key, partners in corpus.citations.items():
+        if citations[key] is None:
+            citations[key] = partners  # untouched: the input's own map
 
     loaded = object.__new__(Corpus)  # the same journals, so any cached index stays valid
     vars(loaded).update(vars(corpus), citations=citations)
-    log.info("loaded %d citation edges, total citation volume %d",
-             loaded.edge_count, loaded.total_citations())
+    log.info("loaded %d citation edges", loaded.edge_count)
     return loaded
 
 

@@ -19,14 +19,21 @@ disciplinary (monodisciplinary at the extreme), low values as multidisciplinary.
 Entropy is computed in nats (natural logarithm) with the 0*ln(0) terms defined
 as 0: zero-count categories are simply absent from the distribution.
 
-Percentages in both numerator and denominator make every quantity here
-invariant under rescaling all counts by a common positive factor.
+Every quantity here is a ratio of counts, so rescaling all counts by a
+common factor c leaves it unchanged. In floating point that holds bit for bit
+under WHOLE counting: multiplying every count by c gives bit-identical
+scores, as long as every sum stays below 2**53.
 
 This module is the one place where citations are attributed to the partner
 journals' SCs: :func:`build_profile` for one unit and
 :func:`aggregate_sc_network` for the SC-to-SC network. Both sum integer
-shares; a profile divides them once, and the network returns them with their
-denominator, so fractional values are exact up to one rounding.
+shares; the network returns them with their denominator, and a profile
+divides them once, so FRACTIONAL ``external_counts`` are rounded once. The
+entropy rounds again when it normalizes those values, so FRACTIONAL scores
+are not bit-for-bit scale-invariant: with every count of the benchmark's
+indicators-all corpus (``gen_corpus.py --seed 41``) multiplied by 7, 2,942 of
+its 39,862 ``indicators.json`` rows change in their last bits (0 under
+WHOLE). ROADMAP.md item 6 plans one rounding per probability.
 
 Both records are immutable named tuples. :class:`CitationProfile`, an input,
 checks its fields on every route that builds one; :class:`EbdiScore`, which

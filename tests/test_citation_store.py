@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import gc
 import io
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -51,6 +52,11 @@ def classification(sc_rows, journal_rows):
 
 def citations(rows) -> io.StringIO:
     return io.StringIO(csv_text(CITATION_HEADER, rows))
+
+
+def corpus_flags(paths) -> list[str]:
+    """The CLI flags that name the three corpus files ``write_corpus_files`` wrote."""
+    return [arg for flag in ("classification", "journals", "citations") for arg in (f"--{flag}", str(paths[flag]))]
 
 
 def all_profiles(corpus, mode=CountingMode.FRACTIONAL) -> dict:
@@ -111,14 +117,49 @@ def test_shuffled_citation_file_gives_identical_artifacts(tmp_path):
     ):
         (tmp_path / name).mkdir()
         paths = write_corpus_files(tmp_path / name, sc_rows, journal_file_rows, citation_rows)
-        inputs = [arg for flag in ("classification", "journals", "citations")
-                  for arg in (f"--{flag}", str(paths[flag]))]
         out = tmp_path / name / "out"
-        common = [*inputs, "--counting", "fractional", "--out", str(out)]
-        assert main(["indicators", *common]) == 0
-        assert main(["network", *common, "--dimension", "cited", "--top-k", "3"]) == 0
-        artifacts.append([(out / f).read_bytes() for f in ("indicators.csv", "sc_network.csv")])
+        # JSON tables print every bit of a float; each command writes into its own directory
+        for counting in CountingMode:
+            for fmt in ("csv", "json"):
+                common = [*corpus_flags(paths), "--counting", counting.value, "--format", fmt]
+                run = out / f"{counting.value}-{fmt}"
+                assert main(["indicators", *common, "--out", str(run / "indicators")]) == 0
+                assert main(["roles", *common, "--unit-type", "discipline", "--out", str(run / "roles")]) == 0
+                assert main(["network", *common, "--dimension", "cited", "--top-k", "3",
+                             "--out", str(run / "network")]) == 0
+        artifacts.append({path.relative_to(out): path.read_bytes()
+                          for path in sorted(out.rglob("*")) if path.is_file()})
+    assert len(artifacts[0]) == 2 * 2 * (2 + 3 + 2)  # modes x formats x (table, meta and plot) files
     assert artifacts[0] == artifacts[1] == artifacts[2]
+
+
+def test_whole_counting_scores_do_not_move_when_every_count_is_scaled(tmp_path):
+    """Counts x 7 give the same bits in every ratio of indicators.json, and the same role files."""
+    rng = random.Random(13)
+    sc_rows, journal_rows, rows = random_inputs(rng, n_scs=5, n_journals=30, n_rows=400)
+    focal_sc = journal_rows[0][2].split(";")[0]
+    scaled_rows = [(focal, partner, dimension, count * 7) for focal, partner, dimension, count in rows]
+    outputs = []
+    for name, citation_rows in (("counts", rows), ("counts_x7", scaled_rows)):
+        (tmp_path / name).mkdir()
+        paths = write_corpus_files(tmp_path / name, sc_rows, journal_rows, citation_rows)
+        common = [*corpus_flags(paths), "--counting", "whole", "--format", "json"]
+        out = tmp_path / name / "out"
+        assert main(["indicators", *common, "--out", str(out)]) == 0
+        assert main(["roles", *common, "--focal-sc", focal_sc, "--out", str(out / "journal")]) == 0
+        assert main(["roles", *common, "--unit-type", "discipline", "--out", str(out / "discipline")]) == 0
+        outputs.append(out)
+
+    [plain, scaled] = [json.loads((out / "indicators.json").read_bytes())["rows"] for out in outputs]
+    ratios = ("unit_id", "focal_sc", "dimension", "pct_internal", "H", "Hmax", "pct_hmax", "ebdi",
+              "raw_diversity")
+    assert [[row[key] for key in ratios] for row in scaled] == [[row[key] for key in ratios] for row in plain]
+    assert [row["sum_external"] for row in scaled] == [
+        None if row["sum_external"] is None else 7 * row["sum_external"] for row in plain]
+    assert any(row["sum_external"] for row in plain)
+    for units in ("journal", "discipline"):
+        for name in ("roles.json", "roles.meta.json", "scatter.svg"):
+            assert (outputs[1] / units / name).read_bytes() == (outputs[0] / units / name).read_bytes()
 
 
 @pytest.mark.parametrize("mode", CountingMode)
@@ -191,8 +232,7 @@ def test_a_second_file_rebuilds_only_the_maps_it_touches():
         if key != touched:
             assert merged.citations[key] is partners
     assert merged.citations[touched] is not corpus.citations[touched]
-    assert merged.citations[touched] == dict(sorted(
-        {**before[touched], partner: before[touched].get(partner, 0) + 4}.items()))
+    assert merged.citations[touched] == {**before[touched], partner: before[touched].get(partner, 0) + 4}
     assert merged.citations[new_key] == {partner: 0}
     assert corpus.citations == before
 
@@ -209,8 +249,6 @@ def test_citations_hold_every_merged_count():
         ("J2", Dimension.CITED): {"J1": 5},
     }
     assert corpus.edge_count == 3
-    assert corpus.total_citations() == 6
-    assert corpus.total_citations(Dimension.CITING) == 0
 
 
 def test_load_corpus_runs_the_corpus_checks_once(tmp_path, monkeypatch):

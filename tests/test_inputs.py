@@ -233,6 +233,7 @@ BAD_CITATIONS = [
     (("NOPE", "QMIS", "CITED", "1"), "unknown journal id 'NOPE'"),
     (("JINF", "NOPE", "CITED", "1"), "unknown journal id 'NOPE'"),
     (("JINF", "QMIS", "SIDEWAYS", "1"), "unparseable dimension 'SIDEWAYS'"),
+    (("JINF", "QMIS", "cıted", "1"), "unparseable dimension 'cıted'"),  # U+0131 upper-cases to I
     (("JINF", "QMIS", "CITED", "-3"), "negative citation count"),
     (("JINF", "QMIS", "CITED", "1 2"), "invalid count '1 2'"),
     (("JINF", "QMIS", "CITED", str(2**53 + 1)), "count exceeds 2**53"),

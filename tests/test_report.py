@@ -1040,6 +1040,8 @@ class TestRunConfigValidation:
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ValidationError, match="dimension"):
             RunConfig(dimension="sideways")
+        with pytest.raises(ValidationError, match="unparseable dimension"):
+            RunConfig(dimension="cıted")  # U+0131, which str.upper folds onto ASCII I
 
     @pytest.mark.parametrize("field, value, flag", [
         ("focal_sc", "LIS", "--focal-sc"),
