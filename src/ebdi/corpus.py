@@ -382,11 +382,12 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
     Duplicate (focal, partner, dimension) rows are summed. Repeated calls merge,
     so per-year export files can be loaded one after another: the file's rows
     add into a copy of the input's map for each (journal, dimension) key they
-    touch, and every other key keeps the input's map object, so a merge costs
-    the file's rows and the maps they touch. The input corpus is left
-    unchanged. A map's partners come in the order they first appear, which no
-    reader depends on. Ids are stored as the journal registry's own strings,
-    one object per journal.
+    touch, and every other key keeps the input's map object, unread, so a
+    merge costs the file's rows and the maps they touch plus one C-level copy
+    of the key index. The input corpus is left unchanged. Keys keep the
+    input's order, new keys following in the order they first appear; so do a
+    map's partners, an order no reader depends on. Ids are stored as the
+    journal registry's own strings, one object per journal.
 
     Every row is checked, with a ``file:line`` error. A row of four cells under
     a header that is exactly :data:`CITATION_FIELDS` is read as the CSV parser
@@ -399,8 +400,8 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
     """
     known = {journal_id: journal_id for journal_id in corpus.journals}
     dimensions = {dimension.value: dimension for dimension in Dimension}
-    # the input's keys in their order, each None until the file touches it
-    citations: dict[tuple[str, Dimension], dict[str, int] | None] = dict.fromkeys(corpus.citations)
+    touched: dict[tuple[str, Dimension], dict[str, int]] = {}  # the file's own copy of each map it adds to
+    merged = 0
     with _open_table(citation_file, CITATION_FIELDS) as (reader, columns, width):
         raw = columns == list(range(width))  # the header is CITATION_FIELDS, in order
         for row in reader:
@@ -422,17 +423,18 @@ def load_edges(corpus: Corpus, citation_file: Source) -> Corpus:
             else:
                 count = int(count_cell)
             key = (focal_id, dimension)
-            partners = citations.get(key)
+            partners = touched.get(key)
             if partners is None:
-                partners = citations[key] = dict(corpus.citations.get(key, ()))
+                partners = touched[key] = dict(corpus.citations.get(key, ()))
             partners[partner_id] = partners.get(partner_id, 0) + count
-    for key, partners in corpus.citations.items():
-        if citations[key] is None:
-            citations[key] = partners  # untouched: the input's own map
+            merged += 1
+    # the input's keys in place, each still the input's map, then the new keys; a first load keeps
+    # its one index, which a copy would double at the load's peak
+    citations = {**corpus.citations, **touched} if corpus.citations else touched
 
     loaded = object.__new__(Corpus)  # the same journals, so any cached index stays valid
     vars(loaded).update(vars(corpus), citations=citations)
-    log.info("loaded %d citation edges", loaded.edge_count)
+    log.info("merged %d citation rows into %d (journal, dimension) maps", merged, len(touched))
     return loaded
 
 

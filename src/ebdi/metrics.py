@@ -36,8 +36,9 @@ its 39,862 ``indicators.json`` rows change in their last bits (0 under
 WHOLE). ROADMAP.md item 6 plans one rounding per probability.
 
 Both records are immutable named tuples. :class:`CitationProfile`, an input,
-checks its fields on every route that builds one; :class:`EbdiScore`, which
-only :func:`compute_ebdi` produces, is a plain record that its producer checks.
+checks its fields on every public route that builds one (:func:`build_profile`
+guarantees them); :class:`EbdiScore`, which only :func:`compute_ebdi`
+produces, is a plain record that its producer checks.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ class CitationProfile(_ProfileFields):
     as ints. The map's order is unspecified: the entropy does not depend on it.
     ``None`` (the default) stands for an empty map.
 
-    An immutable named tuple: every way to build one (the constructor,
-    ``_make``, ``_replace``, unpickling) runs the checks.
+    An immutable named tuple: every public way to build one (the
+    constructor, ``_make``, ``_replace``, unpickling) runs the checks;
+    :func:`build_profile` builds its own without them.
     """
 
     __slots__ = ()
@@ -178,6 +180,11 @@ def build_profile(
     zero count never appear in the map. FRACTIONAL shares are summed as
     integers in units of 1/L (L is :attr:`Corpus.membership_lcm`) and divided
     once at the end; WHOLE counts are summed and kept as integers.
+
+    The record is built without :class:`CitationProfile`'s checks, which
+    this loop guarantees: the corpus holds no negative count, a zero count
+    adds no SC, so every share is positive, and the Boolean rule keeps the
+    focal SC out of the external map.
     """
     if focal_sc not in corpus.sc_registry:
         raise ValidationError(f"unknown sc_id {focal_sc!r}")
@@ -221,12 +228,12 @@ def build_profile(
     if fractional and sum(external.values()) != scale * external_total:
         raise ComputationError("fractional external attribution does not sum to the raw external total")
 
-    return CitationProfile(
+    return tuple.__new__(CitationProfile, (
         unit_id, focal_sc, dimension, counting_mode, float(internal),
         # fsum does not depend on order, so the map is neither sorted nor, when whole, copied
         {sc_id: value / scale for sc_id, value in external.items()} if fractional else external,
         float(external_total),
-    )
+    ))
 
 
 def aggregate_sc_network(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -146,14 +146,14 @@ def _full_precision(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
-def _csv_formats(columns: Sequence[str], decimals: int) -> list[Callable[[object], str]]:
-    """The CSV formatter of each column, from its kind; the writer leaves None cells empty."""
+def _csv_formats(columns: Sequence[str], decimals: int) -> list[Callable[[object], str] | None]:
+    """The CSV formatter of each column, from its kind: None for text, which is written as it is."""
     kinds = {
         **dict.fromkeys(_DECIMAL_COLUMNS, f"{{:.{decimals}f}}".format),
         **dict.fromkeys(_INT_COLUMNS, _whole_number),
         **dict.fromkeys(_RAW_COLUMNS, _full_precision),
     }
-    return [kinds.get(column, str) for column in columns]
+    return [kinds.get(column) for column in columns]
 
 
 def _json_text(value: object, indent: int) -> str:
@@ -163,6 +163,10 @@ def _json_text(value: object, indent: int) -> str:
     """
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + " " * indent)
 
+
+#: rows the CSV writer formats at a time; a block's cells are held at once: 4,096-row blocks
+#: took the benchmark's indicators table (40k rows) from a 6.7 to an 11.3 MB heap peak
+_CSV_BLOCK_ROWS = 256
 
 #: a flat row as ``json.dumps(row, indent=2)`` writes it, less its braces' line breaks
 #: and indentation; unindented, it runs in the C encoder
@@ -176,8 +180,11 @@ def _write_table(
     """Stream ``rows``, each a sequence of cells in ``columns`` order, to ``<stem>.csv|json``.
 
     Also writes ``<stem>.meta.json`` and logs both; returns the number of rows
-    written. CSV cells go through one formatter per column
-    (:func:`_csv_formats`) to the C writer; JSON cells keep full precision.
+    written. CSV rows are formatted column by column, in blocks of at most
+    :data:`_CSV_BLOCK_ROWS` rows: each column's one formatter
+    (:func:`_csv_formats`) is mapped over the block's cells, a None cell is
+    left empty, and the block goes to the C writer; every row must hold one
+    cell per column. JSON cells keep full precision.
     The meta does not depend on the rows, so a JSON table opens with it and
     then takes each row as it comes; the bytes equal
     ``json.dump({"meta": meta, "rows": [dict(zip(columns, row)), ...]}, indent=2)``
@@ -202,15 +209,19 @@ def _write_table(
         with partial.open("w", encoding="utf-8", newline="") as handle:
             if config.fmt == "csv":
                 formats = _csv_formats(columns, config.decimals)
-
-                def cells(row: Sequence[object]) -> list[object]:
-                    nonlocal count
-                    count += 1
-                    return [cell if cell is None else form(cell) for form, cell in zip(formats, row)]
-
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(columns)
-                writer.writerows(map(cells, rows))
+                rows = iter(rows)
+                for block in iter(lambda: list(islice(rows, _CSV_BLOCK_ROWS)), []):
+                    count += len(block)
+                    # strict: without it, zip would cut a block's rows to its shortest row or to the header
+                    cells = [
+                        column if form is None
+                        else [cell if cell is None else form(cell) for cell in column] if None in column
+                        else map(form, column)
+                        for form, column in zip(formats, zip(*block, strict=True), strict=True)
+                    ]
+                    writer.writerows(zip(*cells))
             else:
                 handle.write('{\n  "meta": ' + _json_text(meta, 2) + ',\n  "rows": [')
                 for row in rows:

@@ -12,7 +12,9 @@ import copy
 import gc
 import io
 import json
+import logging
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -237,6 +239,33 @@ def test_a_second_file_rebuilds_only_the_maps_it_touches():
     assert corpus.citations == before
 
 
+class Unreadable(dict):
+    """A partner map whose every read fails the test."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the merge read a map the file does not touch")
+
+    __iter__ = __len__ = __getitem__ = __contains__ = get = keys = values = items = copy = _refuse
+
+
+def test_a_merge_reads_no_untouched_map(caplog):
+    rng = random.Random(7)
+    sc_rows, journal_rows, rows = random_inputs(rng, n_scs=5, n_journals=30, n_rows=60)
+    corpus = load_edges(classification(sc_rows, journal_rows), citations(rows))
+    touched, *others = corpus.citations
+    for key in others:
+        corpus.citations[key] = Unreadable(corpus.citations[key])
+    before = dict(corpus.citations[touched])
+
+    with caplog.at_level(logging.INFO, logger="ebdi.corpus"):
+        merged = load_edges(corpus, citations([(touched[0], "J0000", touched[1].value, 2)]))
+
+    assert list(merged.citations) == [touched, *others]
+    assert all(merged.citations[key] is corpus.citations[key] for key in others)
+    assert merged.citations[touched] == {**before, "J0000": before.get("J0000", 0) + 2}
+    assert "merged 1 citation rows into 1 (journal, dimension) maps" in caplog.text
+
+
 def test_citations_hold_every_merged_count():
     corpus = load_edges(
         classification([("A", "A", "")], [("J1", "One", "A"), ("J2", "Two", "A")]),
@@ -350,3 +379,5 @@ def test_load_edges_memory_per_merged_edge(tmp_path):
     assert edges > 19_000
     assert (current - base) / edges <= 150
     assert (peak - base) / edges <= 200
+    # a first load builds one key index: a second would be its own size on top at the peak
+    assert peak - current < sys.getsizeof(loaded.citations)

@@ -524,6 +524,21 @@ def test_random_corpus_scores_pass_the_former_record_checks(seed, only_the_scs_i
                     assert_former_record_checks(score)
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+def test_built_profiles_pass_the_record_checks(seed):
+    """``build_profile`` skips ``CitationProfile``'s checks; on a loaded corpus they cannot fire."""
+    sc_rows, journal_rows, citation_rows, memberships = random_corpus_rows(random.Random(seed))
+    corpus = make_corpus(sc_rows, journal_rows, citation_rows)
+    units = [(jid, sc) for jid in sorted(memberships) for sc in sorted(memberships[jid])]
+    units += [(sc, sc) for sc in sorted(set().union(*memberships.values()))]  # whole subject categories
+    for mode in (CountingMode.WHOLE, CountingMode.FRACTIONAL):
+        for dimension in (Dimension.CITED, Dimension.CITING):
+            for unit_id, focal_sc in units:
+                profile = build_profile(corpus, unit_id, focal_sc, dimension, mode)
+                assert type(profile) is CitationProfile
+                assert CitationProfile(*profile) == profile
+
+
 @given(
     counts=positive_counts,
     internal=st.integers(min_value=1, max_value=500),

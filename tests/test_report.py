@@ -443,6 +443,70 @@ def test_table_cells_follow_the_per_cell_rules(tmp_path, columns, decimals, data
         assert (tmp_path / f"t.{fmt}").read_bytes().decode("utf-8") == expected
 
 
+BLOCK = report_module._CSV_BLOCK_ROWS
+
+
+class TestCsvBlocks:
+    """The CSV writer formats rows a block at a time; no block boundary shows in the bytes."""
+
+    @staticmethod
+    def indicator_rows(n, missing_blocks=()):
+        """``n`` indicator rows; every third row of a block in ``missing_blocks`` has no score."""
+        rng = random.Random(n)
+        rows = []
+        for i in range(n):
+            head = (f"J,{i}", "SC1", "CITED" if i % 2 else "CITING")
+            if i // BLOCK in missing_blocks and i % 3 == 0:
+                rows.append(head + (None,) * 7)
+            else:
+                rows.append(head + (
+                    rng.uniform(0, 100), rng.randrange(10**6) + rng.choice((0.0, 0.5)), rng.uniform(0, 3),
+                    rng.uniform(0, 3), rng.uniform(0, 100), rng.uniform(0, 100), rng.randrange(300),
+                ))
+        return rows
+
+    @staticmethod
+    def write(tmp_path, rows):
+        return report_module._write_table(RunConfig(out_dir=tmp_path), "t", INDICATOR_COLUMNS, rows, "cmd", None)
+
+    @pytest.mark.parametrize("missing_blocks", [(), (0,), (1,), (0, 2)])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_bytes_and_count_at_every_block_boundary(self, tmp_path, n, missing_blocks):
+        rows = self.indicator_rows(n, missing_blocks)
+        assert self.write(tmp_path, iter(rows)) == n
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([INDICATOR_COLUMNS, *(
+            [reference_csv_cell(column, cell, 2) for column, cell in zip(INDICATOR_COLUMNS, row)]
+            for row in rows
+        )])
+        assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == expected.getvalue()
+
+    def test_a_list_of_rows_is_written_once(self, tmp_path):
+        rows = self.indicator_rows(BLOCK + 1, (1,))
+        assert self.write(tmp_path, rows) == len(rows)
+        assert len((tmp_path / "t.csv").read_bytes().splitlines()) == len(rows) + 1
+
+    def test_failure_inside_the_second_block_leaves_no_table(self, tmp_path):
+        def rows():
+            yield from self.indicator_rows(BLOCK + BLOCK // 2, (1,))
+            raise ComputationError("synthetic failure")
+
+        with pytest.raises(ComputationError):
+            self.write(tmp_path, rows())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_row_of_another_width_is_refused(self, tmp_path):
+        """A row narrower or wider than the header, among full rows or not, would misplace cells."""
+        full = self.indicator_rows(3)
+        for rows in (
+            [full[0], full[1][:-1], full[2]], [full[0], full[1] + ("x",), full[2]],
+            [row[:-1] for row in full], [row + ("x",) for row in full],
+        ):
+            with pytest.raises(ValueError):
+                self.write(tmp_path, rows)
+            assert list(tmp_path.iterdir()) == []
+
+
 class TestOneProfilePerUnitDimension:
     """Every stage profiles each (unit, SC, dimension) it scores exactly once."""
 
