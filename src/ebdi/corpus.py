@@ -74,11 +74,11 @@ class CountingMode(str, Enum):
 class Corpus:
     """Immutable registry of SCs, journals, and citation counts.
 
-    ``sc_registry`` holds the SC ids. ``journals`` maps a journal id to its
-    SCs: a non-empty, strictly increasing tuple of registry ids, which
-    journals with the same set share. ``citations``, the one stored form of
-    the edges, maps (focal journal, dimension) to {partner journal: summed
-    count, 0 kept}.
+    ``sc_registry`` holds the SC ids. ``journals`` maps a journal id (never
+    an SC id) to its SCs: a non-empty, strictly increasing tuple of registry
+    ids, which journals with the same set share. ``citations``, the one
+    stored form of the edges, maps (focal journal, dimension) to {partner
+    journal: summed count, 0 kept}.
 
     ``n_categories`` is the number of possible subject categories in the
     system, used downstream as the n of the maximum entropy ln(n). It defaults
@@ -108,6 +108,8 @@ class Corpus:
         for journal_id, scs in journals.items():
             if not journal_id:
                 raise ValidationError("journal with empty journal_id")
+            if journal_id in sc_registry:
+                raise ValidationError(f"journal_id {journal_id!r} is also an sc_id")
             if not (type(scs) is tuple and scs and all(map(lt, scs, scs[1:]))):
                 raise ValidationError(
                     f"SCs of journal {journal_id!r} are not a non-empty, strictly increasing tuple"

@@ -3,8 +3,8 @@
 Each stage (``run_*`` and :func:`export_sc_network`) loads what it needs,
 builds its table's rows as tuples of cells in column order, hands them to the
 one streaming writer, :func:`_write_table`, and returns the number of rows
-written. The units a corpus stage scores come from one list, :func:`_units`,
-which also rejects an unknown focal SC; every unit is scored by
+written; every file goes to disk through :func:`_published`. The units a
+corpus stage scores come from :func:`_units`; every unit is scored by
 :func:`~ebdi.metrics.compute_journal_indicators`. Outputs are deterministic:
 row order is fixed (unit, SC, dimension), numbers are
 full-precision in JSON and rounded to the configured decimals in CSV, and no
@@ -25,9 +25,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import contextmanager
 from itertools import combinations, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, CountingMode, Dimension, Source, load_corpus, parse_float, read_csv
 from .errors import LoadError, ValidationError
@@ -173,6 +174,24 @@ _CSV_BLOCK_ROWS = 256
 _json_row = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
 
 
+@contextmanager
+def _published(path: Path) -> Iterator[IO[str]]:
+    """Write ``path`` through ``<name>.partial``: renamed over ``path`` if the block completes, else removed.
+
+    The handle is UTF-8 text with ``newline=""``; the directory is made if need
+    be. After a failed run each file is thus whole or unchanged, never truncated.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with partial.open("w", encoding="utf-8", newline="") as handle:
+            yield handle
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def _write_table(
     config: RunConfig, stem: str, columns: Sequence[str], rows: Iterable[Sequence[object]],
     command: str, corpus: Corpus | None, **extra: object,
@@ -180,17 +199,17 @@ def _write_table(
     """Stream ``rows``, each a sequence of cells in ``columns`` order, to ``<stem>.csv|json``.
 
     Also writes ``<stem>.meta.json`` and logs both; returns the number of rows
-    written. CSV rows are formatted column by column, in blocks of at most
-    :data:`_CSV_BLOCK_ROWS` rows: each column's one formatter
-    (:func:`_csv_formats`) is mapped over the block's cells, a None cell is
-    left empty, and the block goes to the C writer; every row must hold one
-    cell per column. JSON cells keep full precision.
+    written. Every row must hold one cell per column. CSV rows are formatted
+    column by column, in blocks of at most :data:`_CSV_BLOCK_ROWS` rows: each
+    column's one formatter (:func:`_csv_formats`) is mapped over the block's
+    cells, a None cell is left empty, and the block goes to the C writer.
+    JSON cells keep full precision.
     The meta does not depend on the rows, so a JSON table opens with it and
     then takes each row as it comes; the bytes equal
     ``json.dump({"meta": meta, "rows": [dict(zip(columns, row)), ...]}, indent=2)``
-    as long as every cell is a scalar, as in every table here. The table is
-    written to ``<name>.partial`` and renamed once complete, so an error while
-    the rows are computed leaves no truncated table behind.
+    as long as every cell is a scalar, as in every table here. Neither file
+    is published before the last row is written; the meta goes first, so a
+    meta that cannot be written keeps the previous table.
     """
     meta: dict[str, object] = {
         "command": command,
@@ -201,72 +220,63 @@ def _write_table(
         "decimals": config.decimals,
         **extra,
     }
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     path = config.out_dir / f"{stem}.{config.fmt}"
-    partial = path.with_name(path.name + ".partial")
     count = 0
-    try:
-        with partial.open("w", encoding="utf-8", newline="") as handle:
-            if config.fmt == "csv":
-                formats = _csv_formats(columns, config.decimals)
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(columns)
-                rows = iter(rows)
-                for block in iter(lambda: list(islice(rows, _CSV_BLOCK_ROWS)), []):
-                    count += len(block)
-                    # strict: without it, zip would cut a block's rows to its shortest row or to the header
-                    cells = [
-                        column if form is None
-                        else [cell if cell is None else form(cell) for cell in column] if None in column
-                        else map(form, column)
-                        for form, column in zip(formats, zip(*block, strict=True), strict=True)
-                    ]
-                    writer.writerows(zip(*cells))
-            else:
-                handle.write('{\n  "meta": ' + _json_text(meta, 2) + ',\n  "rows": [')
-                for row in rows:
-                    # a row's cells are scalars, so its only line breaks are the item separators
-                    body = "{\n      " + _json_row(dict(zip(columns, row)))[1:-1] + "\n    }" if row else "{}"
-                    handle.write((",\n    " if count else "\n    ") + body)
-                    count += 1
-                handle.write("\n  ]\n}\n" if count else "]\n}\n")
-        partial.replace(path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    meta_path = config.out_dir / f"{stem}.meta.json"
-    meta_path.write_text(_json_text(meta, 0) + "\n", encoding="utf-8", newline="")
+    with _published(path) as handle, _published(config.out_dir / f"{stem}.meta.json") as meta_handle:
+        meta_handle.write(_json_text(meta, 0) + "\n")
+        if config.fmt == "csv":
+            formats = _csv_formats(columns, config.decimals)
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(columns)
+            rows = iter(rows)
+            for block in iter(lambda: list(islice(rows, _CSV_BLOCK_ROWS)), []):
+                count += len(block)
+                # strict: without it, zip would cut a block's rows to its shortest row or to the header
+                cells = [
+                    column if form is None
+                    else [cell if cell is None else form(cell) for cell in column] if None in column
+                    else map(form, column)
+                    for form, column in zip(formats, zip(*block, strict=True), strict=True)
+                ]
+                writer.writerows(zip(*cells))
+        else:
+            handle.write('{\n  "meta": ' + _json_text(meta, 2) + ',\n  "rows": [')
+            for row in rows:
+                # a row's cells are scalars, so its only line breaks are the item separators
+                cells = dict(zip(columns, row, strict=True))
+                body = "{\n      " + _json_row(cells)[1:-1] + "\n    }" if cells else "{}"
+                handle.write((",\n    " if count else "\n    ") + body)
+                count += 1
+            handle.write("\n  ]\n}\n" if count else "]\n}\n")
     log.info("wrote %s (%d rows)", path, count)
     return count
 
 
 def _units(
-    config: RunConfig, corpus: Corpus, every_membership: bool = False,
-) -> Iterable[tuple[str, str]]:
-    """The (unit, focal SC) pairs a corpus stage scores, in output order.
+    config: RunConfig, every_membership: bool = False,
+) -> tuple[Corpus, Iterable[tuple[str, str]]]:
+    """The loaded corpus and the (unit, focal SC) pairs a corpus stage scores, in output order.
 
-    Discipline runs score each SC that has journals against itself, so they
-    take no focal SC; journal runs score the focal SC's journals, or, for the
-    indicators table (``every_membership``) without a focal SC, every
-    (journal, membership), yielded lazily. The checks run before the first pair.
+    Discipline runs score each SC that has journals against itself, so take
+    no focal SC; journal runs score the focal SC's journals, or, for the
+    indicators table (``every_membership``) without one, every (journal,
+    membership), lazily. Flag errors come before the load, an unknown SC after.
     """
+    discipline = config.unit_type == "discipline" and not every_membership
+    if discipline and config.focal_sc is not None:
+        raise ValidationError("discipline runs score every SC against itself; --focal-sc does not apply")
+    if not (discipline or every_membership or config.focal_sc is not None):
+        raise ValidationError("role and correlation runs over a corpus need --focal-sc "
+                              "(journals are analyzed relative to one subject category)")
+    corpus = _load_corpus(config)
     if config.focal_sc is not None and config.focal_sc not in corpus.sc_registry:
         raise ValidationError(f"unknown sc_id {config.focal_sc!r}")
-    if config.unit_type == "discipline" and not every_membership:
-        if config.focal_sc is not None:
-            raise ValidationError(
-                "discipline runs score every SC against itself; --focal-sc does not apply"
-            )
-        return [(sc_id, sc_id) for sc_id in sorted(corpus.sc_registry) if corpus.journals_in(sc_id)]
+    if discipline:
+        return corpus, [(sc_id, sc_id) for sc_id in sorted(corpus.sc_registry) if corpus.journals_in(sc_id)]
     if config.focal_sc is not None:
-        return [(jid, config.focal_sc) for jid in corpus.journals_in(config.focal_sc)]
-    if not every_membership:
-        raise ValidationError(
-            "role and correlation runs over a corpus need --focal-sc "
-            "(journals are analyzed relative to one subject category)"
-        )
+        return corpus, [(jid, config.focal_sc) for jid in corpus.journals_in(config.focal_sc)]
     journals = corpus.journals
-    return ((jid, sc_id) for jid in sorted(journals) for sc_id in journals[jid])
+    return corpus, ((jid, sc_id) for jid in sorted(journals) for sc_id in journals[jid])
 
 
 # -- score collection (shared by roles and correlations) ---------------------------
@@ -301,9 +311,9 @@ def _collect_score_pairs(
     if config.scores is not None:
         return _read_scores_csv(config.scores), None
 
-    corpus = _load_corpus(config)
+    corpus, units = _units(config)
     pairs = []
-    for unit, focal_sc in _units(config, corpus):
+    for unit, focal_sc in units:
         cited, citing = compute_journal_indicators(corpus, unit, focal_sc, config.counting)
         pairs.append((unit, cited.ebdi if cited else None, citing.ebdi if citing else None))
     return pairs, corpus
@@ -318,8 +328,7 @@ def run_indicators(config: RunConfig) -> int:
     Each unit's two rows go to the file as soon as they are scored, so no
     list of rows is kept; returns the number of rows written.
     """
-    corpus = _load_corpus(config)
-    units = _units(config, corpus, every_membership=True)
+    corpus, units = _units(config, every_membership=True)
     missing = 0
     no_score = (None,) * (len(INDICATOR_COLUMNS) - 3)  # a missing dimension keeps None cells
     dimensions = (Dimension.CITED.value, Dimension.CITING.value)
@@ -390,11 +399,10 @@ def run_roles(config: RunConfig) -> int:
         unit_type=config.unit_type, cited_threshold=cited_threshold, citing_threshold=citing_threshold,
     )
 
-    svg_lines = scatter_svg(points=classified, x_threshold=cited_threshold, y_threshold=citing_threshold,
-                            quadrant_labels=quadrants)
     svg_path = config.out_dir / "scatter.svg"
-    with svg_path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(svg_lines)
+    with _published(svg_path) as handle:
+        handle.writelines(scatter_svg(points=classified, x_threshold=cited_threshold,
+                                      y_threshold=citing_threshold, quadrant_labels=quadrants))
     log.info("wrote %s (%d points)", svg_path, len(classified))
     return count
 

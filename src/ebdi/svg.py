@@ -36,6 +36,16 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _element(tag: str, cls: str, text: str | None = None, **attributes: object) -> str:
+    """``<tag class="cls" name="value" ...>text</tag>`` and a newline, ``_`` in a name written ``-``.
+
+    Attributes follow ``class`` in call order; ``text`` is escaped, and without it the element is empty.
+    """
+    head = f'<{tag} class="{cls}"' + "".join(
+        f' {name.replace("_", "-")}="{value}"' for name, value in attributes.items())
+    return f"{head}/>\n" if text is None else f"{head}>{_escape(text)}</{tag}>\n"
+
+
 def _axis(
     values: Sequence[float], pix_lo: float, pix_hi: float,
 ) -> tuple[Callable[[float], float], list[float]]:
@@ -83,55 +93,34 @@ def scatter_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">\n'
     )
-    yield (
-        f'<text class="title" x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
-        'font-size="16">Disciplinarity by dimension</text>\n'
-    )
+    axis = {"stroke": "#444444", "stroke_width": 1}
+    yield _element("text", "title", "Disciplinarity by dimension",
+                   x=_fmt(WIDTH / 2), y=24, text_anchor="middle", font_size=16)
 
     # frame and axes
-    yield (
-        f'<rect class="plot-area" x="{left}" y="{top}" width="{right - left}" '
-        f'height="{bottom - top}" fill="none" stroke="#444444" stroke-width="1"/>\n'
-    )
+    yield _element("rect", "plot-area", x=left, y=top, width=right - left, height=bottom - top,
+                   fill="none", **axis)
     for tick in x_ticks:
-        px = sx(tick)
-        yield (
-            f'<line class="tick" x1="{_fmt(px)}" y1="{bottom}" x2="{_fmt(px)}" '
-            f'y2="{bottom + 5}" stroke="#444444" stroke-width="1"/>\n'
-        )
-        yield (
-            f'<text class="tick-label" x="{_fmt(px)}" y="{bottom + 18}" '
-            f'text-anchor="middle" font-size="11">{tick:.3g}</text>\n'
-        )
+        px = _fmt(sx(tick))
+        yield _element("line", "tick", x1=px, y1=bottom, x2=px, y2=bottom + 5, **axis)
+        yield _element("text", "tick-label", f"{tick:.3g}",
+                       x=px, y=bottom + 18, text_anchor="middle", font_size=11)
     for tick in y_ticks:
         py = sy(tick)
-        yield (
-            f'<line class="tick" x1="{left - 5}" y1="{_fmt(py)}" x2="{left}" '
-            f'y2="{_fmt(py)}" stroke="#444444" stroke-width="1"/>\n'
-        )
-        yield (
-            f'<text class="tick-label" x="{left - 8}" y="{_fmt(py + 4)}" '
-            f'text-anchor="end" font-size="11">{tick:.3g}</text>\n'
-        )
-    yield (
-        f'<text class="axis-label" x="{_fmt((left + right) / 2)}" y="{HEIGHT - 16}" '
-        'text-anchor="middle" font-size="13">EBDI (cited)</text>\n'
-    )
-    yield (
-        f'<text class="axis-label" x="18" y="{_fmt((top + bottom) / 2)}" text-anchor="middle" '
-        f'font-size="13" transform="rotate(-90 18 {_fmt((top + bottom) / 2)})">EBDI (citing)</text>\n'
-    )
+        yield _element("line", "tick", x1=left - 5, y1=_fmt(py), x2=left, y2=_fmt(py), **axis)
+        yield _element("text", "tick-label", f"{tick:.3g}",
+                       x=left - 8, y=_fmt(py + 4), text_anchor="end", font_size=11)
+    middle = _fmt((top + bottom) / 2)
+    yield _element("text", "axis-label", "EBDI (cited)",
+                   x=_fmt((left + right) / 2), y=HEIGHT - 16, text_anchor="middle", font_size=13)
+    yield _element("text", "axis-label", "EBDI (citing)", x=18, y=middle, text_anchor="middle",
+                   font_size=13, transform=f"rotate(-90 18 {middle})")
 
     # the two median threshold lines
-    tx, ty = sx(x_threshold), sy(y_threshold)
-    yield (
-        f'<line class="threshold" x1="{_fmt(tx)}" y1="{top}" x2="{_fmt(tx)}" y2="{bottom}" '
-        f'stroke="#b22222" stroke-width="1" stroke-dasharray="6 4"/>\n'
-    )
-    yield (
-        f'<line class="threshold" x1="{left}" y1="{_fmt(ty)}" x2="{right}" y2="{_fmt(ty)}" '
-        f'stroke="#b22222" stroke-width="1" stroke-dasharray="6 4"/>\n'
-    )
+    tx, ty = _fmt(sx(x_threshold)), _fmt(sy(y_threshold))
+    dashed = {"stroke": "#b22222", "stroke_width": 1, "stroke_dasharray": "6 4"}
+    yield _element("line", "threshold", x1=tx, y1=top, x2=tx, y2=bottom, **dashed)
+    yield _element("line", "threshold", x1=left, y1=ty, x2=right, y2=ty, **dashed)
 
     if quadrant_labels:
         corners = {
@@ -143,11 +132,10 @@ def scatter_svg(
         for corner, (cx, cy, anchor) in corners.items():
             label = quadrant_labels.get(corner)
             if label:
-                yield (
-                    f'<text class="quadrant-label" x="{cx}" y="{cy}" text-anchor="{anchor}" '
-                    f'font-size="11" fill="#999999">{_escape(label)}</text>\n'
-                )
+                yield _element("text", "quadrant-label", label,
+                               x=cx, y=cy, text_anchor=anchor, font_size=11, fill="#999999")
 
+    # one point and its label per unit; f-strings, as a call per element would cost this loop 2-4x
     for label, x, y in points:
         px, py = sx(x), sy(y)
         yield (

@@ -76,6 +76,27 @@ def brute_indicator_rows(journal_memberships, edge_rows, n_categories, mode):
     return out
 
 
+def brute_discipline_rows(journal_memberships, edge_rows, n_categories, mode):
+    """Recompute all indicator fields for every SC that has journals, in both dimensions.
+
+    A discipline is scored as one pseudo-journal in that SC alone, holding
+    every edge of its member journals; a partner is internal when it is a
+    member. Arguments as for :func:`brute_indicator_rows`. Returns
+    dict[(sc_id, dimension_str)] -> field dict, or None for a dimension
+    without citations.
+    """
+    out = {}
+    for sc in sorted(set().union(*journal_memberships.values())):
+        unit = ("discipline", sc)  # equal to no journal id
+        members = {jid for jid, scs in journal_memberships.items() if sc in scs}
+        edges = [(unit, partner, dim, count) for focal, partner, dim, count in edge_rows if focal in members]
+        memberships = {partner: journal_memberships[partner] for _, partner, _, _ in edges}
+        memberships[unit] = {sc}
+        rows = brute_indicator_rows(memberships, edges, n_categories, mode)
+        out.update({(sc, dim): rows[(unit, sc, dim)] for dim in ("CITED", "CITING")})
+    return out
+
+
 def reference_entropy(counts):
     """The reference definition of the entropy: ``metrics._entropy`` must equal it bit for bit.
 

@@ -220,17 +220,6 @@ def test_header_only_journal_file_exits_1(tmp_path, caplog, command):
     assert not out.exists()
 
 
-def test_unknown_focal_sc_in_discipline_roles_exits_1(tmp_path, caplog):
-    # the sample corpus classifies enough disciplines for a role run to succeed
-    sample = {"classification": SAMPLE / "subject_categories.csv",
-              "journals": SAMPLE / "journals.csv", "citations": SAMPLE / "citations.csv"}
-    code = main(["roles", *corpus_args(sample), "--unit-type", "discipline",
-                 "--focal-sc", "NOPE", "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert "unknown sc_id 'NOPE'" in caplog.text
-    assert not (tmp_path / "out" / "roles.meta.json").exists()
-
-
 def test_focal_sc_in_discipline_roles_exits_1(tmp_path, caplog):
     # a discipline run scores every SC against itself, so a focal SC would be recorded but ignored
     sample = {"classification": SAMPLE / "subject_categories.csv",
@@ -240,6 +229,40 @@ def test_focal_sc_in_discipline_roles_exits_1(tmp_path, caplog):
     assert code == 1
     assert "--focal-sc" in caplog.text
     assert not (tmp_path / "out" / "roles.meta.json").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["roles"], "need --focal-sc"),
+    (["correlate", "--metrics", str(SAMPLE / "metrics.csv")], "need --focal-sc"),
+    # a discipline run refuses any focal SC, so it never needs the registry to refuse an unknown one
+    (["roles", "--unit-type", "discipline", "--focal-sc", "LIS"], "--focal-sc does not apply"),
+    (["roles", "--unit-type", "discipline", "--focal-sc", "NOPE"], "--focal-sc does not apply"),
+], ids=["journal-roles", "correlate", "discipline-known-sc", "discipline-unknown-sc"])
+def test_flag_errors_are_reported_before_any_input_is_read(tmp_path, caplog, command, message):
+    """A run whose flags cannot succeed names the flag, not an input: none is opened."""
+    sample = {"classification": SAMPLE / "subject_categories.csv",
+              "journals": SAMPLE / "journals.csv", "citations": tmp_path / "missing.csv"}
+    out = tmp_path / "out"
+    assert main([*command, *corpus_args(sample), "--out", str(out)]) == 1
+    assert message in caplog.text
+    assert "missing.csv" not in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_meta_that_cannot_be_written_keeps_the_previous_table(tmp_path, corpus_paths, caplog, fmt):
+    """The table and its meta are renamed into place after the last row, the meta first."""
+    out = tmp_path / "out"
+    argv = ["roles", *corpus_args(corpus_paths), "--focal-sc", "F", "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    table = (out / f"roles.{fmt}").read_bytes()
+    (out / "roles.meta.json").unlink()
+    (out / "roles.meta.json").mkdir()
+    assert main([*argv, "--decimals", "5"]) == 1  # a run that would write another table
+    assert "cannot write output" in caplog.text
+    assert (out / f"roles.{fmt}").read_bytes() == table
+    assert (out / "roles.meta.json").is_dir()
+    assert not list(out.glob("*.partial"))
 
 
 def test_malformed_row_exits_1(tmp_path, corpus_paths):

@@ -380,6 +380,18 @@ class TestCorpusIntegrity:
         with pytest.raises(ValidationError, match="journal 'J1' references unknown sc_id 'Z'"):
             Corpus(sc_registry=sc, journals=journals, citations={}, n_categories=2)
 
+    def test_journal_id_that_is_an_sc_id_rejected(self):
+        """A constructed corpus keeps the loader's rule: a unit id names a journal or an SC, never both.
+
+        Without it, journal A shadows discipline A: ``compute_journal_indicators(corpus, "A", "A")``
+        scores the journal (pct_internal 100.0), where the discipline has 1 internal citation of 6.
+        """
+        cited = Dimension.CITED
+        journals = {"A": ("A",), "X": ("A", "B"), "Y": ("B",)}
+        citations = {("X", cited): {"Y": 5}, ("A", cited): {"A": 1}}
+        with pytest.raises(ValidationError, match="journal_id 'A' is also an sc_id"):
+            Corpus(sc_registry=frozenset({"A", "B"}), journals=journals, citations=citations, n_categories=2)
+
     def test_negative_count_rejected(self):
         sc = frozenset({"A"})
         journals = {"J1": ("A",)}

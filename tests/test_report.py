@@ -12,6 +12,7 @@ import statistics
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ import ebdi.svg as svg_module
 from ebdi.svg import _escape, scatter_svg
 from conftest import write_corpus_files
 from oracle import (
+    brute_discipline_rows,
     brute_indicator_rows,
     brute_rank_pearson,
     brute_sc_network,
@@ -466,8 +468,9 @@ class TestCsvBlocks:
         return rows
 
     @staticmethod
-    def write(tmp_path, rows):
-        return report_module._write_table(RunConfig(out_dir=tmp_path), "t", INDICATOR_COLUMNS, rows, "cmd", None)
+    def write(tmp_path, rows, fmt="csv"):
+        config = RunConfig(out_dir=tmp_path, fmt=fmt)
+        return report_module._write_table(config, "t", INDICATOR_COLUMNS, rows, "cmd", None)
 
     @pytest.mark.parametrize("missing_blocks", [(), (0,), (1,), (0, 2)])
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
@@ -496,15 +499,16 @@ class TestCsvBlocks:
         assert list(tmp_path.iterdir()) == []
 
     def test_a_row_of_another_width_is_refused(self, tmp_path):
-        """A row narrower or wider than the header, among full rows or not, would misplace cells."""
+        """A row narrower or wider than the header, among full rows or not, would misplace or drop cells."""
         full = self.indicator_rows(3)
-        for rows in (
-            [full[0], full[1][:-1], full[2]], [full[0], full[1] + ("x",), full[2]],
-            [row[:-1] for row in full], [row + ("x",) for row in full],
-        ):
-            with pytest.raises(ValueError):
-                self.write(tmp_path, rows)
-            assert list(tmp_path.iterdir()) == []
+        for fmt in ("csv", "json"):
+            for rows in (
+                [full[0], full[1][:-1], full[2]], [full[0], full[1] + ("x",), full[2]],
+                [row[:-1] for row in full], [row + ("x",) for row in full], [full[0], (), full[2]],
+            ):
+                with pytest.raises(ValueError):
+                    self.write(tmp_path, rows, fmt)
+                assert list(tmp_path.iterdir()) == []
 
 
 class TestOneProfilePerUnitDimension:
@@ -607,7 +611,57 @@ class TestRunRoles:
         config = RunConfig(**paths, unit_type="discipline", out_dir=tmp_path / "out", fmt="json")
         by_unit = {row["unit_id"]: row for row in stage_rows(run_roles, config, "roles")}
         assert set(by_unit) == {"A", "B"}
-        assert by_unit["A"]["type"] in {"IMPORTER", "EXPORTER", "BALANCED"}
+        expected = brute_discipline_rows({"J1": {"A"}, "J2": {"B"}}, citation_rows, 2, "whole")
+        for sc, row in by_unit.items():
+            cited, citing = expected[(sc, "CITED")]["ebdi"], expected[(sc, "CITING")]["ebdi"]
+            assert (row["cited_ebdi"], row["citing_ebdi"]) == (pytest.approx(cited), pytest.approx(citing))
+        # A: 4 of 6 cited citations internal, none of 6 citing; B: 5 of 6 and 2 of 4
+        assert by_unit["A"]["type"] == by_unit["B"]["type"] == "IMPORTER"
+
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(CountingMode)))
+    def test_discipline_units_match_the_oracle(self, tmp_path, seed, mode):
+        """Every SC with journals, scored by the library and by the discipline role run, as the oracle scores it."""
+        sc_rows, journal_rows, citation_rows, memberships = random_corpus_rows(random.Random(seed))
+        expected = brute_discipline_rows(memberships, citation_rows, len(sc_rows), mode.value)
+        paths = write_corpus_files(tmp_path, sc_rows, journal_rows, citation_rows)
+        corpus = load_corpus(*paths.values())
+        scs = sorted(set().union(*memberships.values()))
+        classified = 0
+        for sc in scs:
+            scores = compute_journal_indicators(corpus, sc, sc, mode)
+            classified += None not in scores
+            for dimension, score in zip(("CITED", "CITING"), scores):
+                want = expected[(sc, dimension)]
+                if want is None:
+                    assert score is None
+                    continue
+                assert score.pct_internal == pytest.approx(want["pct_internal"], abs=1e-9)
+                assert score.external_total == want["sum_external"]
+                assert score.entropy == pytest.approx(want["H"], abs=1e-9)
+                assert score.raw_diversity == want["raw_diversity"]
+                assert score.ebdi == pytest.approx(want["ebdi"], abs=1e-9)
+
+        config = RunConfig(**paths, unit_type="discipline", counting=mode, out_dir=tmp_path / "out", fmt="json")
+        if classified < 2:
+            with pytest.raises(ValidationError, match="at least 2"):
+                run_roles(config)
+            return
+        rows = stage_rows(run_roles, config, "roles")
+        assert [row["unit_id"] for row in rows] == scs
+        for row in rows:
+            wants = [expected[(row["unit_id"], dimension)] for dimension in ("CITED", "CITING")]
+            cited, citing = row["cited_ebdi"], row["citing_ebdi"]
+            assert [cited, citing] == [None if want is None else pytest.approx(want["ebdi"], abs=1e-9)
+                                       for want in wants]
+            if cited is None or citing is None:
+                assert (row["difference"], row["type"]) == (None, "UNCLASSIFIED")
+                continue
+            assert row["difference"] == cited - citing
+            assert row["difference"] == pytest.approx(wants[0]["ebdi"] - wants[1]["ebdi"], abs=1e-9)
+            # the sign of the run's own difference: the oracle's may differ in the last bit
+            sign = (cited > citing) - (cited < citing)
+            assert row["type"] == {1: "IMPORTER", -1: "EXPORTER", 0: "BALANCED"}[sign]
 
     def test_fewer_than_two_classified_units_rejected(self, tmp_path):
         scores = write_scores(tmp_path, [("a", 1.0, 2.0), ("b", None, 2.0)])
@@ -757,6 +811,30 @@ class TestScatterPlot:
                 patch.setattr(svg_module, "_escape",
                               lambda text: html.escape(text, quote=False).replace("\r", "&#13;"))
                 assert plot() == svg_text
+
+    def test_plot_bytes_are_pinned(self):
+        """Quadrant labels, labels that need escaping and ticks on both axes, as the committed plot has them."""
+        points = [("A&B <1>", 1.0, 2.5), ("plain", 3.25, 0.5), ("c\"'", 2.0, 1.75)]
+        quadrants = {"top_right": "CORE", "bottom_right": "R&D <importer>",
+                     "top_left": "KNOWLEDGE_EXPORTER", "bottom_left": "TANGENTIAL"}
+        plot = "".join(scatter_svg(points=points, x_threshold=2.0, y_threshold=1.75, quadrant_labels=quadrants))
+        assert plot.encode("utf-8") == (Path(__file__).parent / "golden_scatter.svg").read_bytes()
+
+    def test_a_plot_that_fails_keeps_the_previous_plot(self, tmp_path, monkeypatch):
+        rows = [(f"u{i}", float(i), float(10 - i)) for i in range(10)]
+        self._roles_run(tmp_path, rows)
+        plot = tmp_path / "out" / "scatter.svg"
+        before = plot.read_bytes()
+
+        def failing(*args, **kwargs):
+            yield from islice(scatter_svg(*args, **kwargs), 5)
+            raise ComputationError("synthetic failure")
+
+        monkeypatch.setattr(report_module, "scatter_svg", failing)
+        with pytest.raises(ComputationError):
+            run_roles(RunConfig(scores=tmp_path / "scores.csv", out_dir=tmp_path / "out"))
+        assert plot.read_bytes() == before
+        assert not list(plot.parent.glob("*.partial"))
 
     def test_large_plot_is_streamed_to_its_file(self, tmp_path, monkeypatch):
         """Writing 9,600 points allocates far less than the 1.7 MB file.
